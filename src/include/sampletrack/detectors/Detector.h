@@ -190,7 +190,8 @@ protected:
   /// the sampling engines and the tree-clock ablation) — an early fast
   /// path that skips the handler call entirely for the ~99%+ of accesses
   /// outside S. Handler calls are explicitly qualified with \p Concrete,
-  /// the most-derived type, so they compile to direct (inlinable) calls;
+  /// the class that defines them, so they compile to direct (inlinable)
+  /// calls;
   /// the virtual boundary is crossed once per batch by the processBatch
   /// override itself. Bit-identical to processEvent per element: the
   /// stream position still advances per event (declareRace records it),

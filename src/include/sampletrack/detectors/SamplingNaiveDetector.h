@@ -14,58 +14,32 @@
 /// through the simd kernels). ST is the baseline the paper's SU/SO engines
 /// are measured against (Fig. 5(b)).
 ///
+/// The algorithm is SamplingNaivePolicy (sampletrack/detectors/
+/// Policies.h), which the online runtime's ST mode runs too; this is its
+/// offline detector.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAMPLETRACK_DETECTORS_SAMPLINGNAIVEDETECTOR_H
 #define SAMPLETRACK_DETECTORS_SAMPLINGNAIVEDETECTOR_H
 
-#include "sampletrack/detectors/SamplingBase.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 
 namespace sampletrack {
 
 /// ST: Algorithm 2, the sampling timestamp with naive communication.
-class SamplingNaiveDetector final : public SamplingDetectorBase {
+class SamplingNaiveDetector final
+    : public PolicyDetector<SamplingNaivePolicy> {
 public:
   explicit SamplingNaiveDetector(size_t NumThreads,
                                  HistoryKind Histories =
-                                     HistoryKind::VectorClocks);
+                                     HistoryKind::VectorClocks)
+      : PolicyDetector(NumThreads, Histories) {}
 
   std::string name() const override { return "ST"; }
 
-  void onAcquire(ThreadId T, SyncId L) override;
-  void onRelease(ThreadId T, SyncId L) override;
-  void onFork(ThreadId Parent, ThreadId Child) override;
-  void onJoin(ThreadId Parent, ThreadId Child) override;
-  void onReleaseStore(ThreadId T, SyncId S) override;
-  void onReleaseJoin(ThreadId T, SyncId S) override;
-  void onAcquireLoad(ThreadId T, SyncId S) override;
-
-  void processBatch(std::span<const Event> Events,
-                    std::span<const uint8_t> Sampled) override;
-
   /// Current sampling clock C_t of thread \p T (tests inspect this).
-  const VectorClock &threadClock(ThreadId T) const { return Threads[T]; }
-
-protected:
-  bool clockDominatesHistory(ThreadId T, const VectorClock &C) override {
-    return C.leqWithOverride(Threads[T], T, Epochs[T]);
-  }
-  void snapshotEffectiveClock(ThreadId T, VectorClock &Out) override {
-    Out.copyFrom(Threads[T]);
-    Out.set(T, Epochs[T]);
-  }
-  void publishLocalTime(ThreadId T, ClockValue Time) override {
-    Threads[T].set(T, Time);
-  }
-  ClockValue effectiveClockComponent(ThreadId T, ThreadId Of) override {
-    return Of == T ? Epochs[T] : Threads[T].get(Of);
-  }
-
-private:
-  VectorClock &syncClock(SyncId S);
-
-  std::vector<VectorClock> Threads;
-  std::vector<VectorClock> Syncs;
+  const VectorClock &threadClock(ThreadId T) const { return thread(T).C; }
 };
 
 } // namespace sampletrack

@@ -16,149 +16,45 @@
 /// toVectorClock) run over the list's SoA time array through the simd
 /// clock kernels.
 ///
-/// Two orthogonal options support the ablation benches:
-/// - LocalEpochOpt (Section 6.1): the thread's own component travels next
-///   to the shared list as a scalar, so publishing a new local epoch never
-///   forces a deep copy. This is the "dirty epoch" optimization of the
-///   RAPID experiments.
-/// - The copy-on-write scheme itself is inherent to the algorithm and not
-///   optional.
-///
-/// Non-mutex synchronization (appendix A.2): release-stores are handled
-/// identically to releases — a shallow snapshot is always valid regardless
-/// of monotonicity, which is why "the innovations of Algorithm 4 can always
-/// be adopted". Release-joins convert the sync object to an owned blended
-/// vector clock (multi-source) processed without skips.
+/// The algorithm, with its copy-on-write snapshot lifecycle, the
+/// Section 6.1 local-epoch optimization and the appendix A.2 treatment of
+/// atomics, is SamplingOrderedListPolicy (sampletrack/detectors/
+/// Policies.h), which the online runtime's SO mode runs too; this is its
+/// offline detector.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAMPLETRACK_DETECTORS_SAMPLINGORDEREDLISTDETECTOR_H
 #define SAMPLETRACK_DETECTORS_SAMPLINGORDEREDLISTDETECTOR_H
 
-#include "sampletrack/detectors/SamplingBase.h"
-#include "sampletrack/support/OrderedList.h"
-#include "sampletrack/support/SnapshotPool.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 
 namespace sampletrack {
 
 /// SO: Algorithm 4, ordered lists with lazy copies.
-///
-/// Snapshot lifecycle (the zero-allocation hot path): a release publishes
-/// the thread's list by reference (O(1) shallow copy); the owner's next
-/// mutation re-owns it — in place when every published reference has since
-/// been dropped (free), or by materializing a private copy into a
-/// SnapshotPool buffer when a sync object still holds the snapshot (a
-/// CowBreak; the pool recycles retired buffers so steady state allocates
-/// nothing).
-class SamplingOrderedListDetector final : public SamplingDetectorBase {
+class SamplingOrderedListDetector final
+    : public PolicyDetector<SamplingOrderedListPolicy> {
 public:
-  /// \p LocalEpochOpt toggles the Section 6.1 local-epoch optimization.
+  /// \p LocalEpochOpt toggles the Section 6.1 local-epoch optimization
+  /// (off only in the ablation bench).
   explicit SamplingOrderedListDetector(size_t NumThreads,
                                        bool LocalEpochOpt = true,
                                        HistoryKind Histories =
-                                           HistoryKind::VectorClocks);
+                                           HistoryKind::VectorClocks)
+      : PolicyDetector(NumThreads, Histories, LocalEpochOpt) {}
 
   std::string name() const override { return "SO"; }
 
-  void onAcquire(ThreadId T, SyncId L) override;
-  void onRelease(ThreadId T, SyncId L) override;
-  void onFork(ThreadId Parent, ThreadId Child) override;
-  void onJoin(ThreadId Parent, ThreadId Child) override;
-  void onReleaseStore(ThreadId T, SyncId S) override;
-  void onReleaseJoin(ThreadId T, SyncId S) override;
-  void onAcquireLoad(ThreadId T, SyncId S) override;
-
-  void processBatch(std::span<const Event> Events,
-                    std::span<const uint8_t> Sampled) override;
-  void setPoolingEnabled(bool Enabled) override { Pool.setEnabled(Enabled); }
-
   /// The thread's ordered list (tests inspect structure and sharing).
-  const OrderedList &orderedList(ThreadId T) const { return *Threads[T].O; }
-  bool isListShared(ThreadId T) const { return Threads[T].SharedFlag; }
-  const VectorClock &freshnessClock(ThreadId T) const { return Threads[T].U; }
+  const OrderedList &orderedList(ThreadId T) const { return *thread(T).O; }
+  bool isListShared(ThreadId T) const { return thread(T).Shared; }
+  const VectorClock &freshnessClock(ThreadId T) const { return thread(T).U; }
 
   /// Effective component C_t(t'): list entry, except the thread's own
   /// component which may be carried out-of-line under LocalEpochOpt.
   ClockValue effectiveComponent(ThreadId T, ThreadId Of) const {
-    return Of == T ? Threads[T].OwnTime : Threads[T].O->get(Of);
+    return thread(T).component(T, Of);
   }
-
-protected:
-  bool clockDominatesHistory(ThreadId T, const VectorClock &C) override {
-    // The only possibly-stale list entry is the thread's own, and the
-    // effective-epoch override replaces it anyway (e_t >= OwnTime).
-    return Threads[T].O->dominatesWithOverride(C, T, Epochs[T]);
-  }
-  void snapshotEffectiveClock(ThreadId T, VectorClock &Out) override {
-    Threads[T].O->toVectorClock(Out, T, Epochs[T]);
-  }
-  void publishLocalTime(ThreadId T, ClockValue Time) override;
-  ClockValue effectiveClockComponent(ThreadId T, ThreadId Of) override {
-    return Of == T ? Epochs[T] : Threads[T].O->get(Of);
-  }
-
-private:
-  using ListRef = SnapshotPool<OrderedList>::Ref;
-  /// Read-only view held by sync objects: published snapshots are
-  /// immutable while shared, and this type makes that a compile error to
-  /// violate.
-  using ListSnapshot = SnapshotPool<OrderedList>::ConstRef;
-
-  struct ThreadState {
-    ListRef O;
-    /// shared_t of Algorithm 4: the list may be referenced by sync objects
-    /// and must be re-owned (in place, or by a pooled copy when still
-    /// referenced) before mutation.
-    bool SharedFlag = false;
-    VectorClock U;
-    /// The paper's C_t(t) (local time of the last sampled event). Under
-    /// LocalEpochOpt this is authoritative and the list entry may lag.
-    ClockValue OwnTime = 0;
-  };
-
-  struct SyncState {
-    /// Single-source snapshot (immutable while shared) plus release-time
-    /// scalars.
-    ListSnapshot Ref;
-    ThreadId LastReleaser = NoThread;
-    /// U_l of Algorithm 4: the releaser's own freshness count at release.
-    ClockValue UScalar = 0;
-    /// The releaser's own component at release (C_t(t)); carried as a
-    /// scalar so LocalEpochOpt releases stay O(1).
-    ClockValue OwnTimeAtRelease = 0;
-    /// Multi-source (release-join) content, processed without skips.
-    bool MultiSource = false;
-    VectorClock C, U;
-  };
-
-  SyncState &syncState(SyncId S);
-
-  /// Re-owns the thread's list before mutation (lazy copy-on-write): in
-  /// place when unique, else a pooled deep copy (a CowBreak).
-  void ensureOwned(ThreadId T);
-
-  /// Applies one foreign entry (\p Of, \p Val) to thread \p T's list.
-  /// Returns 1 if the entry strictly increased, else 0.
-  unsigned applyEntry(ThreadId T, ThreadId Of, ClockValue Val);
-
-  /// The acquire fast/slow path against a single-source snapshot.
-  void acquireLike(ThreadId T, SyncId L);
-
-  /// The O(1) release: publish a shallow snapshot (Lines 24-27).
-  void releaseLike(ThreadId T, SyncId L);
-
-  /// Full join from an owned vector clock (multi-source syncs, fork/join).
-  void joinFromVectorClock(ThreadId T, const VectorClock &C,
-                           const VectorClock *U);
-
-  /// Materializes a single-source snapshot into the sync's owned clocks,
-  /// converting it to multi-source form.
-  void convertToMultiSource(SyncState &S);
-
-  bool LocalEpochOpt;
-  SnapshotPool<OrderedList> Pool;
-  std::vector<ThreadState> Threads;
-  std::vector<SyncState> Syncs;
 };
 
 } // namespace sampletrack

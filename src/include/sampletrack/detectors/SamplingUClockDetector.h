@@ -16,95 +16,33 @@
 /// change-counting join that maintains U, Eq. 9) are kernel passes over
 /// the source clock's active prefix.
 ///
-/// Non-mutex synchronization follows appendix A.2: release-stores can only
-/// use the skip rule when the storing thread observed the sync object's
-/// current content (monotone update); release-joins mark the sync object
-/// multi-source, disabling acquire-side skips until the next exclusive
-/// release.
+/// The algorithm, including the appendix A.2 treatment of release-stores
+/// and release-joins, is SamplingUClockPolicy (sampletrack/detectors/
+/// Policies.h), which the online runtime's SU mode runs too; this is its
+/// offline detector.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAMPLETRACK_DETECTORS_SAMPLINGUCLOCKDETECTOR_H
 #define SAMPLETRACK_DETECTORS_SAMPLINGUCLOCKDETECTOR_H
 
-#include "sampletrack/detectors/SamplingBase.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 
 namespace sampletrack {
 
 /// SU: Algorithm 3, sampling clocks plus freshness (U) clocks.
-class SamplingUClockDetector final : public SamplingDetectorBase {
+class SamplingUClockDetector final
+    : public PolicyDetector<SamplingUClockPolicy> {
 public:
   explicit SamplingUClockDetector(size_t NumThreads,
                                   HistoryKind Histories =
-                                      HistoryKind::VectorClocks);
+                                      HistoryKind::VectorClocks)
+      : PolicyDetector(NumThreads, Histories) {}
 
   std::string name() const override { return "SU"; }
 
-  void onAcquire(ThreadId T, SyncId L) override;
-  void onRelease(ThreadId T, SyncId L) override;
-  void onFork(ThreadId Parent, ThreadId Child) override;
-  void onJoin(ThreadId Parent, ThreadId Child) override;
-  void onReleaseStore(ThreadId T, SyncId S) override;
-  void onReleaseJoin(ThreadId T, SyncId S) override;
-  void onAcquireLoad(ThreadId T, SyncId S) override;
-
-  void processBatch(std::span<const Event> Events,
-                    std::span<const uint8_t> Sampled) override;
-
-  const VectorClock &threadClock(ThreadId T) const { return Threads[T].C; }
-  const VectorClock &freshnessClock(ThreadId T) const { return Threads[T].U; }
-
-protected:
-  bool clockDominatesHistory(ThreadId T, const VectorClock &C) override {
-    return C.leqWithOverride(Threads[T].C, T, Epochs[T]);
-  }
-  void snapshotEffectiveClock(ThreadId T, VectorClock &Out) override {
-    Out.copyFrom(Threads[T].C);
-    Out.set(T, Epochs[T]);
-  }
-  void publishLocalTime(ThreadId T, ClockValue Time) override {
-    // Publishing the epoch is itself one entry update (Line 17 of
-    // Algorithm 3).
-    Threads[T].C.set(T, Time);
-    Threads[T].U.bump(T);
-  }
-  ClockValue effectiveClockComponent(ThreadId T, ThreadId Of) override {
-    return Of == T ? Epochs[T] : Threads[T].C.get(Of);
-  }
-
-private:
-  struct ThreadState {
-    VectorClock C, U;
-  };
-
-  struct SyncState {
-    VectorClock C, U;
-    /// Thread that performed the last exclusive release (LR_l), or NoThread.
-    ThreadId LastReleaser = NoThread;
-    /// Set by release-joins: the content blends multiple threads and the
-    /// scalar freshness check no longer applies (appendix A.2).
-    bool MultiSource = false;
-    /// AcquiredSince[t]: thread t has imported this object's current
-    /// content; its clock therefore dominates it and a release-store by t
-    /// is a monotone update.
-    std::vector<bool> AcquiredSince;
-  };
-
-  SyncState &syncState(SyncId S);
-
-  /// The join path of the acquire handler (Lines 8-12 of Algorithm 3):
-  /// joins U clocks, joins C clocks counting changed entries, and charges
-  /// those changes to U_t(t).
-  void joinFromSync(ThreadId T, SyncState &S);
-
-  /// Full (unskippable) copy of thread state into the sync object.
-  void storeToSync(ThreadId T, SyncState &S);
-
-  /// Direct thread-to-thread edge (fork/join), always processed.
-  void joinThreadFromThread(ThreadId Dst, ThreadId Src);
-
-  std::vector<ThreadState> Threads;
-  std::vector<SyncState> Syncs;
+  const VectorClock &threadClock(ThreadId T) const { return thread(T).C; }
+  const VectorClock &freshnessClock(ThreadId T) const { return thread(T).U; }
 };
 
 } // namespace sampletrack

@@ -17,14 +17,25 @@
 ///  - FT: FastTrack full analysis (Full-TSan),
 ///  - ST/SU/SO: the paper's sampling engines at a configurable rate.
 ///
-/// Concurrency discipline (mirrors TSan's): a thread's clocks are owned by
-/// that thread; each sync object's state is guarded by its own mutex (the
-/// analysis work there nests inside the application's critical section,
-/// which is exactly how vanilla timestamping "exacerbates existing lock
-/// contention"); shadow cells live in a sharded hash table with per-shard
-/// mutexes. SO's shared ordered lists are immutable once published
-/// (copy-on-write), so references can be handed across threads under the
-/// sync mutex alone.
+/// The analysis is the offline engines' own code: each mode runs its
+/// policy from sampletrack/detectors/Policies.h (FastTrackPolicy,
+/// SamplingNaivePolicy, SamplingUClockPolicy, SamplingOrderedListPolicy),
+/// so the online and offline results agree exactly (OnlineOfflineTest).
+/// The runtime adds what running on live threads needs:
+///
+///  - Locking split (mirrors TSan's): a thread's policy state and Metrics
+///    are owned by that thread and need no lock. Each sync object's state
+///    is guarded by its own mutex, so the analysis work nests inside the
+///    application's critical section, which is exactly how vanilla
+///    timestamping "exacerbates existing lock contention". SO does only
+///    the O(1) snapshot read under that mutex and traverses the pinned,
+///    immutable list outside it.
+///  - Shadow cells: addresses hash into a fixed table of access histories
+///    guarded by sharded mutexes. A cell belongs to the last address that
+///    claimed it; a colliding address evicts its history, a
+///    false-negative-only approximation like TSan's shadow eviction.
+///  - Sampling decisions from a per-thread RNG, per-thread race sinks and
+///    profiler trees, and optional trace recording for offline replay.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,18 +45,15 @@
 #include "sampletrack/detectors/Metrics.h"
 #include "sampletrack/prof/Profiler.h"
 #include "sampletrack/prof/Report.h"
-#include "sampletrack/support/OrderedList.h"
 #include "sampletrack/trace/Trace.h"
 #include "sampletrack/triage/RaceSink.h"
 #include "sampletrack/support/Rng.h"
-#include "sampletrack/support/VectorClock.h"
 
 #include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace sampletrack {
@@ -85,10 +93,10 @@ struct Config {
   /// engines). Access events carry their sampling decision in the Marked
   /// bit, so an offline replay sees the identical sample set.
   bool RecordTrace = false;
-  /// Serve snapshot buffers (SO's copy-on-write lists, lazily allocated
-  /// shadow-history clocks) from a recycling SnapshotPool instead of the
-  /// allocator. Results are identical either way; only the PoolHits metric
-  /// (and allocator traffic) moves. The differential tests run both.
+  /// Serve SO's copy-on-write list buffers from a recycling SnapshotPool
+  /// instead of the allocator. Results are identical either way; only the
+  /// PoolHits metric (and allocator traffic) moves. The differential tests
+  /// run both.
   bool PoolingEnabled = true;
   /// Distinct-signature capacity of each thread's race sink (0 = the
   /// default, 1<<16 per thread). Race declarations dedup into per-thread
@@ -99,13 +107,6 @@ struct Config {
   /// \ref Runtime::profileReport. Off by default — hooks pay only one
   /// predictable branch when disabled.
   bool ProfilingEnabled = false;
-};
-
-/// One detected race, as reported online.
-struct OnlineRace {
-  ThreadId Tid;
-  uint64_t Address;
-  bool OnWrite;
 };
 
 /// The concurrent analysis runtime. Thread-compatible: each registered
@@ -173,24 +174,16 @@ public:
 
 private:
   struct ThreadState;
-  struct SyncState;
-  struct Shadow;
   struct Impl;
+  struct Analysis;
+  template <typename Policy> class Engine;
 
-  /// Records a race (atomic counter plus racy-cell set).
+  /// The common hook bodies: counting, sampling, recording and ET; the
+  /// configured Analysis does the rest.
+  void access(ThreadId T, uint64_t Addr, OpKind K);
+  void sync(ThreadId T, OpKind K, uint32_t Target);
+  /// Records a race (atomic counter, racy-cell set, thread's sink).
   void reportRace(ThreadId T, uint64_t Cell, bool OnWrite);
-  /// Direct-mapped shadow ownership: claims the cell for \p Addr, dropping
-  /// a colliding address's history (see Shadow::Owner). Shard lock held.
-  void reclaimCell(Shadow &Sh, uint64_t Addr);
-  /// Sampling modes: history <= effective clock C_t[t -> e_t]?
-  bool dominatesHistory(ThreadId T, const VectorClock &H);
-  /// Sampling modes: materialize the effective clock into \p Out.
-  void snapshotEffective(ThreadId T, VectorClock &Out);
-  /// Lines 19-21 of Algorithm 2: publish e_t if the thread performed a
-  /// sampled access since the last release-like event.
-  void flushLocalEpoch(ThreadId T);
-  /// SO: apply one foreign component, copy-on-write. Returns 1 on change.
-  unsigned soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val);
   /// Appends \p E to the recorded trace if recording is enabled.
   void record(const Event &E);
 

@@ -7,10 +7,12 @@
 
 #include "sampletrack/runtime/Runtime.h"
 
-#include "sampletrack/support/SnapshotPool.h"
+#include "sampletrack/detectors/Policies.h"
 
+#include <array>
 #include <atomic>
 #include <cassert>
+#include <unordered_set>
 
 using namespace sampletrack;
 using namespace sampletrack::rt;
@@ -46,49 +48,51 @@ inline uint64_t hashAddress(uint64_t Addr) {
 /// distinct signatures per thread is effectively unbounded.
 constexpr size_t DefaultThreadSinkCapacity = 1 << 16;
 
+/// Sync-object ids registerSync can hand out.
+constexpr size_t MaxSyncs = 1 << 14;
+
+/// Times one access-hook body into the thread's span tree, aggregate-only:
+/// access hooks fire millions of times per run, so no per-invocation
+/// timeline event is recorded. One branch when profiling is off.
+struct HookSample {
+  prof::Tree *PT;
+  prof::NodeId Id;
+  uint64_t T0;
+  HookSample(prof::Tree *PT, prof::NodeId Id)
+      : PT(PT), Id(Id), T0(PT ? prof::nowNanos() : 0) {}
+  ~HookSample() {
+    if (PT)
+      PT->addSample(Id, prof::nowNanos() - T0, 1);
+  }
+};
+
+/// Times one sync-hook body as a real span (aggregate plus a timeline
+/// event, capped per tree): sync hooks are rare enough to afford it.
+struct HookSpan {
+  prof::Tree *PT;
+  prof::NodeId Id;
+  uint64_t T0;
+  HookSpan(prof::Tree *PT, prof::NodeId Id)
+      : PT(PT), Id(Id), T0(PT ? prof::nowNanos() : 0) {}
+  ~HookSpan() {
+    if (PT)
+      PT->addSpan(Id, T0, prof::nowNanos());
+  }
+};
+
 } // namespace
 
-namespace {
-
-/// Pooled snapshot reference types of the online hot path: SO's shared
-/// ordered lists (recycled whenever a newer release overwrites the last
-/// snapshot reference) and the lazily allocated shadow-history clocks.
-using ListRef = SnapshotPool<OrderedList>::Ref;
-/// Read-only view for published list snapshots (immutable while shared;
-/// const-enforced, as the old shared_ptr<const OrderedList> was).
-using ListSnapshot = SnapshotPool<OrderedList>::ConstRef;
-using ClockRef = SnapshotPool<VectorClock>::Ref;
-
-} // namespace
-
-/// Per-thread analysis state. Owned by its thread: only the owner mutates
+/// Per-thread runtime state. Owned by its thread: only the owner mutates
 /// it, so no locking is needed. Padded against false sharing.
 struct Runtime::ThreadState {
   bool Registered = false;
 
   /// Self-profiling (null unless Config::ProfilingEnabled): this thread's
-  /// span tree plus pre-interned node ids, one per hook. Access hooks fold
-  /// aggregate samples (no timeline event — far too hot); sync hooks emit
-  /// timed spans.
+  /// span tree plus one pre-interned node per hook kind, indexed by
+  /// OpKind. Access hooks fold aggregate samples (no timeline event — far
+  /// too hot); sync hooks emit timed spans.
   prof::Tree *PT = nullptr;
-  prof::NodeId PRead = 0, PWrite = 0;
-  prof::NodeId PAcquire = 0, PRelease = 0, PFork = 0, PJoin = 0;
-  prof::NodeId PReleaseStore = 0, PReleaseJoin = 0;
-
-  /// FT: the full FastTrack clock (bottom[t -> 1]). ST/SU: the sampling
-  /// clock C_t (bottom). Unused by SO.
-  VectorClock C;
-  /// Freshness clock U_t (SU and SO).
-  VectorClock U;
-  /// SO: the ordered list, shared copy-on-write (pooled).
-  ListRef O;
-  bool ListShared = false;
-
-  /// Sampling live epoch e_t and the paper's C_t(t) (SO carries it
-  /// out-of-line; see the local-epoch optimization).
-  ClockValue Epoch = 1;
-  ClockValue OwnTime = 0;
-  bool Dirty = false;
+  std::array<prof::NodeId, 9> PNode{};
 
   /// Per-thread sampling RNG and counters (merged at the end).
   SplitMix64 Rng{0};
@@ -101,65 +105,26 @@ struct Runtime::ThreadState {
   /// Runtime::triageSummary merges the shards when the run is quiescent.
   triage::RaceSink Sink;
 
-  /// Scratch clock for snapshots (avoids allocation in hooks).
-  VectorClock Scratch;
-
   alignas(64) char Pad[64] = {};
 
   bool sampleNext() { return Rng.nextBool(SamplingRate); }
 };
 
-/// Per-sync-object state, guarded by its own mutex. The analysis work done
-/// while holding M nests inside the application's critical section.
-struct Runtime::SyncState {
-  std::mutex M;
-  /// FT/ST: the sync clock. SU: sync clock plus freshness clock.
-  VectorClock C, U;
-  ThreadId LastReleaser = NoThread;
-  /// SO: immutable snapshot reference plus release-time scalars.
-  ListSnapshot Ref;
-  ClockValue UScalar = 0;
-  ClockValue OwnTimeAtRelease = 0;
-  bool Initialized = false;
-  /// A.2 state: release-joined content blends multiple threads; for SO the
-  /// C/U clocks (otherwise unused) hold the blend. AcquiredSince[t] tracks
-  /// whether t observed the current content (SU's monotonicity guard).
-  bool MultiSource = false;
-  std::vector<bool> AcquiredSince;
-};
-
-/// One shadow cell: FastTrack epochs for FT mode, vector-clock access
-/// histories for the sampling modes (allocated lazily — only sampled
-/// accesses ever need them).
-struct Runtime::Shadow {
-  /// Direct-mapped ownership: the address whose history this cell holds
-  /// (0 = never claimed; real addresses are never 0). Cells are a hash
-  /// table over addresses, so unrelated addresses can collide; comparing
-  /// an access against a *stranger's* history fabricates races real
-  /// TSan's 1:1 shadow mapping cannot produce. On an owner mismatch the
-  /// newcomer reclaims the cell and its history is forgotten — a
-  /// false-negative-only approximation, exactly like TSan's own shadow
-  /// eviction.
-  uint64_t Owner = 0;
-  // FT epochs.
-  ThreadId WTid = 0;
-  ClockValue WClk = 0;
-  ThreadId RTid = 0;
-  ClockValue RClk = 0;
-  bool ReadShared = false;
-  ClockRef RVC;
-  // Sampling histories (Cw_x / Cr_x of Algorithm 2).
-  ClockRef SW, SR;
+/// The analysis half of an FT/ST/SU/SO runtime.
+struct Runtime::Analysis {
+  virtual ~Analysis() = default;
+  virtual void addThread(ThreadId T) = 0;
+  virtual void access(ThreadId T, uint64_t Addr, uint64_t Cell,
+                      bool IsWrite) = 0;
+  virtual void sync(ThreadId T, OpKind K, uint32_t Target) = 0;
 };
 
 struct Runtime::Impl {
-  explicit Impl(const Config &C)
-      : Threads(C.MaxThreads), Syncs(MaxSyncs), Cells(C.ShadowCells),
-        Shards(C.ShadowShards) {
-    ListPool.setEnabled(C.PoolingEnabled);
-    ClockPool.setEnabled(C.PoolingEnabled);
+  explicit Impl(const Config &C) : Threads(C.MaxThreads) {
     if (C.ProfilingEnabled)
       Prof = std::make_unique<prof::Profiler>();
+    if (C.AnalysisMode == Mode::ET)
+      EtShadow.assign(C.ShadowCells, 0);
   }
 
   /// Self-profiler (null unless Config::ProfilingEnabled). Trees are
@@ -167,29 +132,12 @@ struct Runtime::Impl {
   /// concurrent registerThread calls are fine.
   std::unique_ptr<prof::Profiler> Prof;
 
-  static constexpr size_t MaxSyncs = 1 << 14;
-
-  /// Declared before the state tables: the tables' outstanding references
-  /// drain back into the pools on destruction.
-  SnapshotPool<OrderedList> ListPool;
-  SnapshotPool<VectorClock> ClockPool;
-
-  /// A zeroed pooled clock of \p NumThreads components, charging the pool
-  /// hit (if any) to \p Stats.
-  ClockRef acquireClock(size_t NumThreads, Metrics &Stats) {
-    bool Reused = false;
-    ClockRef R = ClockPool.acquire(&Reused);
-    Stats.PoolHits += Reused ? 1 : 0;
-    if (R->size() < NumThreads)
-      R->resize(NumThreads);
-    R->clear();
-    return R;
-  }
-
   std::vector<ThreadState> Threads;
-  std::vector<SyncState> Syncs;
-  std::vector<Shadow> Cells;
-  std::vector<std::mutex> Shards;
+  /// The analysis (null under NT and ET).
+  std::unique_ptr<Analysis> A;
+  /// ET's shadow words: Empty-TSan touches shadow state, which is most of
+  /// TSan's instrumentation cost, but runs no analysis.
+  std::vector<uint64_t> EtShadow;
 
   std::atomic<uint32_t> NextThread{0};
   std::atomic<uint32_t> NextSync{0};
@@ -202,8 +150,119 @@ struct Runtime::Impl {
   std::vector<Event> Recorded;
 };
 
+/// Runs \p Policy on live threads: per-thread policy state, per-sync state
+/// under a mutex each, access histories in sharded shadow cells.
+template <typename Policy> class Runtime::Engine final : public Analysis {
+public:
+  Engine(Runtime &Rt, const Config &C)
+      : Rt(Rt), Pol(C.MaxThreads), Threads(C.MaxThreads), Syncs(MaxSyncs),
+        Cells(C.ShadowCells), Shards(C.ShadowShards) {
+    Pol.setPoolingEnabled(C.PoolingEnabled);
+  }
+
+  void addThread(ThreadId T) override { Pol.initThread(Threads[T].S, T); }
+
+  void access(ThreadId T, uint64_t Addr, uint64_t Cell,
+              bool IsWrite) override {
+    Metrics &M = Rt.I->Threads[T].Stats;
+    Shadow &Sh = Cells[Cell];
+    std::lock_guard<std::mutex> G(Shards[Cell % Shards.size()]);
+    if (Sh.Owner != Addr) {
+      // Direct-mapped ownership: the newcomer claims the cell and the
+      // previous owner's history is forgotten. Comparing against a
+      // stranger's history would fabricate races TSan's 1:1 shadow
+      // mapping cannot produce.
+      Sh.Owner = Addr;
+      Sh.H.reset();
+    }
+    auto Race = [&] { Rt.reportRace(T, Cell, IsWrite); };
+    if (IsWrite)
+      Pol.write(Threads[T].S, T, Sh.H, M, Race);
+    else
+      Pol.read(Threads[T].S, T, Sh.H, M, Race);
+  }
+
+  void sync(ThreadId T, OpKind K, uint32_t Target) override {
+    Metrics &M = Rt.I->Threads[T].Stats;
+    typename Policy::Thread &TS = Threads[T].S;
+    // Fork and join touch the parent and a child that is not running
+    // (not yet started, or already joined): no lock needed.
+    if (K == OpKind::Fork || K == OpKind::Join) {
+      typename Policy::Thread &Child = Threads[Target].S;
+      if (K == OpKind::Fork)
+        Pol.fork(TS, T, Child, Target, M);
+      else
+        Pol.join(TS, T, Child, Target, M);
+      return;
+    }
+    SyncSlot &S = Syncs[Target];
+    if (K == OpKind::Acquire || K == OpKind::AcquireLoad) {
+      if constexpr (Policy::SplitAcquire) {
+        typename Policy::Prefix P;
+        {
+          std::lock_guard<std::mutex> G(S.M);
+          if (!Pol.acquireSnapshot(TS, T, S.S, M, P, /*Pin=*/true))
+            return;
+        }
+        Pol.acquirePrefix(TS, T, P, M);
+      } else {
+        std::lock_guard<std::mutex> G(S.M);
+        Pol.acquire(TS, T, S.S, M);
+      }
+      return;
+    }
+    std::lock_guard<std::mutex> G(S.M);
+    if (K == OpKind::Release)
+      Pol.release(TS, T, S.S, M);
+    else if (K == OpKind::ReleaseStore)
+      Pol.releaseStore(TS, T, S.S, M);
+    else
+      Pol.releaseJoin(TS, T, S.S, M);
+  }
+
+private:
+  struct alignas(64) ThreadSlot {
+    typename Policy::Thread S;
+  };
+  struct SyncSlot {
+    std::mutex M;
+    typename Policy::Sync S;
+  };
+  struct Shadow {
+    /// The address whose history this cell holds (0 = never claimed; real
+    /// addresses are never 0).
+    uint64_t Owner = 0;
+    typename Policy::History H;
+  };
+
+  Runtime &Rt;
+  // The policy owns the pools, so it outlives the state below.
+  Policy Pol;
+  std::vector<ThreadSlot> Threads;
+  std::vector<SyncSlot> Syncs;
+  std::vector<Shadow> Cells;
+  std::vector<std::mutex> Shards;
+};
+
 Runtime::Runtime(const Config &C) : Cfg(C), I(std::make_unique<Impl>(C)) {
   assert(Cfg.ShadowShards > 0 && Cfg.ShadowCells >= Cfg.ShadowShards);
+  switch (Cfg.AnalysisMode) {
+  case Mode::NT:
+  case Mode::ET:
+    break;
+  case Mode::FT:
+    I->A = std::make_unique<Engine<FastTrackPolicy>>(*this, Cfg);
+    break;
+  case Mode::ST:
+    I->A = std::make_unique<Engine<SamplingNaivePolicy>>(*this, Cfg);
+    break;
+  case Mode::SU:
+    I->A = std::make_unique<Engine<SamplingUClockPolicy>>(*this, Cfg);
+    break;
+  case Mode::SO:
+    I->A = std::make_unique<Engine<SamplingOrderedListPolicy>>(*this, Cfg);
+    break;
+  }
   // Pre-register the main thread as thread 0.
   registerThread();
 }
@@ -215,54 +274,35 @@ ThreadId Runtime::registerThread() {
   assert(T < Cfg.MaxThreads && "thread limit exceeded; raise MaxThreads");
   ThreadState &TS = I->Threads[T];
   TS.Registered = true;
-  size_t NT = Cfg.MaxThreads;
-  switch (Cfg.AnalysisMode) {
-  case Mode::NT:
-  case Mode::ET:
-    break;
-  case Mode::FT:
-    TS.C = VectorClock(NT);
-    TS.C.set(T, 1);
-    TS.Scratch = VectorClock(NT);
-    break;
-  case Mode::ST:
-    TS.C = VectorClock(NT);
-    TS.Scratch = VectorClock(NT);
-    break;
-  case Mode::SU:
-    TS.C = VectorClock(NT);
-    TS.U = VectorClock(NT);
-    TS.Scratch = VectorClock(NT);
-    break;
-  case Mode::SO:
-    TS.O = I->ListPool.acquire();
-    TS.O->reset(NT);
-    TS.U = VectorClock(NT);
-    TS.Scratch = VectorClock(NT);
-    break;
-  }
+  if (I->A)
+    I->A->addThread(T);
   TS.Rng = SplitMix64(Cfg.Seed ^ (0x5851f42d4c957f2dULL * (T + 1)));
   TS.SamplingRate = Cfg.SamplingRate;
   TS.Sink.setCapacity(Cfg.TriageCapacity ? Cfg.TriageCapacity
                                          : DefaultThreadSinkCapacity);
   if (I->Prof) {
     TS.PT = I->Prof->makeTree("rt-thread-" + std::to_string(T));
-    TS.PRead = TS.PT->internPath({"runtime", "access", "read"});
-    TS.PWrite = TS.PT->internPath({"runtime", "access", "write"});
-    TS.PAcquire = TS.PT->internPath({"runtime", "sync", "acquire"});
-    TS.PRelease = TS.PT->internPath({"runtime", "sync", "release"});
-    TS.PFork = TS.PT->internPath({"runtime", "sync", "fork"});
-    TS.PJoin = TS.PT->internPath({"runtime", "sync", "join"});
-    TS.PReleaseStore = TS.PT->internPath({"runtime", "sync", "releaseStore"});
-    TS.PReleaseJoin = TS.PT->internPath({"runtime", "sync", "releaseJoin"});
-    // Acquire-loads delegate to onAcquire and are accounted there.
+    auto Node = [&](OpKind K, const char *Group, const char *Name) {
+      TS.PNode[static_cast<size_t>(K)] =
+          TS.PT->internPath({"runtime", Group, Name});
+    };
+    Node(OpKind::Read, "access", "read");
+    Node(OpKind::Write, "access", "write");
+    Node(OpKind::Acquire, "sync", "acquire");
+    Node(OpKind::Release, "sync", "release");
+    Node(OpKind::Fork, "sync", "fork");
+    Node(OpKind::Join, "sync", "join");
+    Node(OpKind::ReleaseStore, "sync", "releaseStore");
+    Node(OpKind::ReleaseJoin, "sync", "releaseJoin");
+    // Acquire-loads are accounted with acquires.
+    Node(OpKind::AcquireLoad, "sync", "acquire");
   }
   return T;
 }
 
 SyncId Runtime::registerSync() {
   uint32_t S = I->NextSync.fetch_add(1, std::memory_order_relaxed);
-  assert(S < Impl::MaxSyncs && "sync limit exceeded");
+  assert(S < MaxSyncs && "sync limit exceeded");
   return S;
 }
 
@@ -301,75 +341,11 @@ const prof::Profiler *Runtime::profiler() const { return I->Prof.get(); }
 
 Metrics Runtime::aggregatedMetrics() const {
   Metrics Out;
-  for (const ThreadState &TS : I->Threads) {
-    if (!TS.Registered)
-      continue;
-    const Metrics &S = TS.Stats;
-    Out.Events += S.Events;
-    Out.Accesses += S.Accesses;
-    Out.SampledAccesses += S.SampledAccesses;
-    Out.AcquiresTotal += S.AcquiresTotal;
-    Out.AcquiresSkipped += S.AcquiresSkipped;
-    Out.AcquiresProcessed += S.AcquiresProcessed;
-    Out.ReleasesTotal += S.ReleasesTotal;
-    Out.ReleasesSkipped += S.ReleasesSkipped;
-    Out.ReleasesProcessed += S.ReleasesProcessed;
-    Out.ShallowCopies += S.ShallowCopies;
-    Out.DeepCopies += S.DeepCopies;
-    Out.PoolHits += S.PoolHits;
-    Out.CowBreaks += S.CowBreaks;
-    Out.EntriesTraversed += S.EntriesTraversed;
-    Out.TraversalOpportunities += S.TraversalOpportunities;
-    Out.FullClockOps += S.FullClockOps;
-    Out.RaceChecks += S.RaceChecks;
-    Out.RacesDeclared += S.RacesDeclared;
-  }
+  for (const ThreadState &TS : I->Threads)
+    if (TS.Registered)
+      Out += TS.Stats;
   return Out;
 }
-
-namespace {
-
-/// RAII helper locking the shard that guards a shadow cell.
-struct ShardLock {
-  ShardLock(std::vector<std::mutex> &Shards, size_t Cell)
-      : G(Shards[Cell % Shards.size()]) {}
-  std::lock_guard<std::mutex> G;
-};
-
-/// Times one access-hook body into the thread's span tree, aggregate-only:
-/// access hooks fire millions of times per run, so no per-invocation
-/// timeline event is recorded. One branch when profiling is off.
-struct HookSample {
-  prof::Tree *PT;
-  prof::NodeId Id;
-  uint64_t T0;
-  HookSample(prof::Tree *PT, prof::NodeId Id)
-      : PT(PT), Id(Id), T0(PT ? prof::nowNanos() : 0) {}
-  ~HookSample() {
-    if (PT)
-      PT->addSample(Id, prof::nowNanos() - T0, 1);
-  }
-};
-
-/// Times one sync-hook body as a real span (aggregate plus a timeline
-/// event, capped per tree): sync hooks are rare enough to afford it.
-struct HookSpan {
-  prof::Tree *PT;
-  prof::NodeId Id;
-  uint64_t T0;
-  HookSpan(prof::Tree *PT, prof::NodeId Id)
-      : PT(PT), Id(Id), T0(PT ? prof::nowNanos() : 0) {}
-  ~HookSpan() {
-    if (PT)
-      PT->addSpan(Id, T0, prof::nowNanos());
-  }
-};
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Internal helpers
-//===----------------------------------------------------------------------===//
 
 void Runtime::record(const Event &E) {
   std::lock_guard<std::mutex> G(I->RecMu);
@@ -389,736 +365,83 @@ void Runtime::reportRace(ThreadId T, uint64_t Cell, bool OnWrite) {
   ++TS.Stats.RacesDeclared;
   // Dedup into the thread's own warehouse shard: no lock, no allocation
   // once the shard has seen this signature. The exemplar position is the
-  // thread-local event count (online streams have no global order).
-  TS.Sink.insert(RaceReport{TS.Stats.Events, T, Cell,
+  // event's index in its thread's stream (online streams have no global
+  // order).
+  TS.Sink.insert(RaceReport{TS.Stats.Events - 1, T, Cell,
                             OnWrite ? OpKind::Write : OpKind::Read});
   I->Races.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> G(I->RacyMu);
   I->RacyCells.insert(Cell);
 }
 
-bool Runtime::dominatesHistory(ThreadId T, const VectorClock &H) {
-  ThreadState &TS = I->Threads[T];
-  if (Cfg.AnalysisMode == Mode::SO)
-    return TS.O->dominatesWithOverride(H, T, TS.Epoch);
-  return H.leqWithOverride(TS.C, T, TS.Epoch);
-}
-
-void Runtime::snapshotEffective(ThreadId T, VectorClock &Out) {
-  ThreadState &TS = I->Threads[T];
-  if (Cfg.AnalysisMode == Mode::SO) {
-    TS.O->toVectorClock(Out, T, TS.Epoch);
-    return;
-  }
-  Out.copyFrom(TS.C);
-  Out.set(T, TS.Epoch);
-}
-
-void Runtime::flushLocalEpoch(ThreadId T) {
-  ThreadState &TS = I->Threads[T];
-  if (!TS.Dirty)
-    return;
-  TS.Dirty = false;
-  ClockValue Time = TS.Epoch++;
-  switch (Cfg.AnalysisMode) {
-  case Mode::ST:
-    TS.C.set(T, Time);
-    break;
-  case Mode::SU:
-    TS.C.set(T, Time);
-    TS.U.bump(T);
-    break;
-  case Mode::SO:
-    // Local-epoch optimization: the own component lives out-of-line, so no
-    // deep copy is needed here.
-    TS.OwnTime = Time;
-    TS.U.bump(T);
-    break;
-  default:
-    break;
-  }
-}
-
-void Runtime::reclaimCell(Shadow &Sh, uint64_t Addr) {
-  if (Sh.Owner == Addr)
-    return;
-  Sh.Owner = Addr;
-  Sh.WTid = 0;
-  Sh.WClk = 0;
-  Sh.RTid = 0;
-  Sh.RClk = 0;
-  Sh.ReadShared = false;
-  // Retired history clocks go back to the pool; the next cell needing one
-  // reuses the buffer.
-  Sh.RVC.reset();
-  Sh.SW.reset();
-  Sh.SR.reset();
-}
-
-unsigned Runtime::soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val) {
-  if (Of == T)
-    return 0;
-  ThreadState &TS = I->Threads[T];
-  if (Val <= TS.O->get(Of))
-    return 0;
-  if (TS.ListShared) {
-    if (TS.O.unique()) {
-      // All snapshot references were overwritten by newer releases; only
-      // the owner can mint new ones, so in-place mutation is safe and the
-      // copy is never owed. (A stale >1 reading merely costs one extra
-      // copy; it can never miss a live reader.)
-      TS.ListShared = false;
-    } else {
-      ++TS.Stats.CowBreaks;
-      bool Reused = false;
-      ListRef Copy = I->ListPool.acquire(&Reused);
-      TS.Stats.PoolHits += Reused ? 1 : 0;
-      *Copy = *TS.O; // Flat copy; readers keep the immutable snapshot.
-      TS.O = std::move(Copy);
-      TS.ListShared = false;
-      ++TS.Stats.DeepCopies;
-      ++TS.Stats.FullClockOps;
-    }
-  }
-  TS.O->set(Of, Val);
-  return 1;
-}
-
 //===----------------------------------------------------------------------===//
-// Access hooks
+// Hooks
 //===----------------------------------------------------------------------===//
 
-void Runtime::onRead(ThreadId T, uint64_t Addr) {
-  ThreadState &TS = I->Threads[T];
+void Runtime::access(ThreadId T, uint64_t Addr, OpKind K) {
   if (Cfg.AnalysisMode == Mode::NT)
     return;
-  HookSample PS(TS.PT, TS.PRead);
-  ++TS.Stats.Accesses;
-  uint64_t Cell = hashAddress(Addr) % Cfg.ShadowCells;
-  bool Sampling = isSamplingMode(Cfg.AnalysisMode);
-  bool Sampled = Sampling && Cfg.AnalysisMode != Mode::ET && TS.sampleNext();
-  if (Cfg.RecordTrace)
-    record(Event(T, OpKind::Read, Cell, Sampled));
-  if (Cfg.AnalysisMode == Mode::ET) {
-    // Empty-TSan still computes and touches shadow state (that is most of
-    // TSan's instrumentation cost); it just runs no analysis. ET mode never
-    // writes cells, so this unsynchronized read is safe.
-    TS.EtCounter += Cell + I->Cells[Cell].WClk;
-    return;
-  }
-
-  if (Cfg.AnalysisMode == Mode::FT) {
-    Shadow &Sh = I->Cells[Cell];
-    ShardLock G(I->Shards, Cell);
-    reclaimCell(Sh, Addr);
-    ClockValue MyClk = TS.C.get(T);
-    // Same-epoch fast path.
-    if (!Sh.ReadShared && Sh.RTid == T && Sh.RClk == MyClk)
-      return;
-    if (Sh.ReadShared && Sh.RVC->get(T) == MyClk)
-      return;
-    ++TS.Stats.RaceChecks;
-    if (Sh.WClk > TS.C.get(Sh.WTid))
-      reportRace(T, Cell, /*OnWrite=*/false);
-    if (Sh.ReadShared) {
-      Sh.RVC->set(T, MyClk);
-    } else if (Sh.RClk <= TS.C.get(Sh.RTid)) {
-      Sh.RTid = T;
-      Sh.RClk = MyClk;
-    } else {
-      if (!Sh.RVC)
-        Sh.RVC = I->acquireClock(Cfg.MaxThreads, TS.Stats);
-      else
-        Sh.RVC->clear();
-      ++TS.Stats.FullClockOps;
-      Sh.RVC->set(Sh.RTid, Sh.RClk);
-      Sh.RVC->set(T, MyClk);
-      Sh.ReadShared = true;
-    }
-    return;
-  }
-
-  // Sampling modes: unsampled accesses are skipped entirely.
-  if (!Sampled)
-    return;
-  ++TS.Stats.SampledAccesses;
-  TS.Dirty = true;
-  Shadow &Sh = I->Cells[Cell];
-  ShardLock G(I->Shards, Cell);
-  reclaimCell(Sh, Addr);
-  ++TS.Stats.RaceChecks;
-  if (Sh.SW && !dominatesHistory(T, *Sh.SW))
-    reportRace(T, Cell, /*OnWrite=*/false);
-  if (!Sh.SR)
-    Sh.SR = I->acquireClock(Cfg.MaxThreads, TS.Stats);
-  Sh.SR->set(T, TS.Epoch);
-}
-
-void Runtime::onWrite(ThreadId T, uint64_t Addr) {
   ThreadState &TS = I->Threads[T];
-  if (Cfg.AnalysisMode == Mode::NT)
-    return;
-  HookSample PS(TS.PT, TS.PWrite);
+  HookSample PS(TS.PT, TS.PNode[static_cast<size_t>(K)]);
+  ++TS.Stats.Events;
   ++TS.Stats.Accesses;
   uint64_t Cell = hashAddress(Addr) % Cfg.ShadowCells;
   bool Sampling = isSamplingMode(Cfg.AnalysisMode);
   bool Sampled = Sampling && TS.sampleNext();
   if (Cfg.RecordTrace)
-    record(Event(T, OpKind::Write, Cell, Sampled));
-  if (Cfg.AnalysisMode == Mode::ET) {
-    // Empty-TSan still computes and touches shadow state (that is most of
-    // TSan's instrumentation cost); it just runs no analysis. ET mode never
-    // writes cells, so this unsynchronized read is safe.
-    TS.EtCounter += Cell + I->Cells[Cell].WClk;
+    record(Event(T, K, Cell, Sampled));
+  if (!I->A) {
+    // ET never writes its shadow words, so this unsynchronized read is
+    // safe.
+    TS.EtCounter += Cell + I->EtShadow[Cell];
     return;
   }
-
-  if (Cfg.AnalysisMode == Mode::FT) {
-    Shadow &Sh = I->Cells[Cell];
-    ShardLock G(I->Shards, Cell);
-    reclaimCell(Sh, Addr);
-    ClockValue MyClk = TS.C.get(T);
-    if (Sh.WTid == T && Sh.WClk == MyClk)
-      return;
-    ++TS.Stats.RaceChecks;
-    if (Sh.WClk > TS.C.get(Sh.WTid))
-      reportRace(T, Cell, /*OnWrite=*/true);
-    if (Sh.ReadShared) {
-      ++TS.Stats.FullClockOps;
-      if (!Sh.RVC->leq(TS.C))
-        reportRace(T, Cell, /*OnWrite=*/true);
-      Sh.RVC->clear();
-      Sh.RTid = 0;
-      Sh.RClk = 0;
-      Sh.ReadShared = false;
-    } else if (Sh.RClk > TS.C.get(Sh.RTid)) {
-      reportRace(T, Cell, /*OnWrite=*/true);
-    }
-    Sh.WTid = T;
-    Sh.WClk = MyClk;
-    return;
-  }
-
-  if (!Sampled)
-    return;
-  ++TS.Stats.SampledAccesses;
-  TS.Dirty = true;
-  Shadow &Sh = I->Cells[Cell];
-  ShardLock G(I->Shards, Cell);
-  reclaimCell(Sh, Addr);
-  ++TS.Stats.RaceChecks;
-  if ((Sh.SR && !dominatesHistory(T, *Sh.SR)) ||
-      (Sh.SW && !dominatesHistory(T, *Sh.SW)))
-    reportRace(T, Cell, /*OnWrite=*/true);
-  if (!Sh.SW)
-    Sh.SW = I->acquireClock(Cfg.MaxThreads, TS.Stats);
-  snapshotEffective(T, *Sh.SW);
-  ++TS.Stats.FullClockOps;
+  if (Sampled)
+    ++TS.Stats.SampledAccesses;
+  else if (Sampling)
+    return; // Unsampled accesses are skipped entirely (Algorithm 2).
+  I->A->access(T, Addr, Cell, K == OpKind::Write);
 }
 
-//===----------------------------------------------------------------------===//
-// Synchronization hooks
-//===----------------------------------------------------------------------===//
+void Runtime::sync(ThreadId T, OpKind K, uint32_t Target) {
+  if (Cfg.AnalysisMode == Mode::NT)
+    return;
+  ThreadState &TS = I->Threads[T];
+  HookSpan PS(TS.PT, TS.PNode[static_cast<size_t>(K)]);
+  ++TS.Stats.Events;
+  if (Cfg.RecordTrace)
+    record(Event(T, K, Target));
+  if (!I->A) {
+    TS.EtCounter += Target;
+    return;
+  }
+  I->A->sync(T, K, Target);
+}
 
+void Runtime::onRead(ThreadId T, uint64_t Addr) {
+  access(T, Addr, OpKind::Read);
+}
+void Runtime::onWrite(ThreadId T, uint64_t Addr) {
+  access(T, Addr, OpKind::Write);
+}
 void Runtime::onAcquire(ThreadId T, SyncId L) {
-  ThreadState &TS = I->Threads[T];
-  if (Cfg.AnalysisMode == Mode::NT)
-    return;
-  HookSpan PS(TS.PT, TS.PAcquire);
-  if (Cfg.RecordTrace)
-    record(Event(T, OpKind::Acquire, L));
-  if (Cfg.AnalysisMode == Mode::ET) {
-    TS.EtCounter += L;
-    return;
-  }
-  ++TS.Stats.AcquiresTotal;
-  SyncState &S = I->Syncs[L];
-
-  switch (Cfg.AnalysisMode) {
-  case Mode::FT:
-  case Mode::ST: {
-    std::lock_guard<std::mutex> G(S.M);
-    if (!S.Initialized) {
-      ++TS.Stats.AcquiresSkipped;
-      return;
-    }
-    ++TS.Stats.AcquiresProcessed;
-    ++TS.Stats.FullClockOps;
-    TS.C.joinWith(S.C);
-    return;
-  }
-  case Mode::SU: {
-    std::lock_guard<std::mutex> G(S.M);
-    if (!S.Initialized) {
-      ++TS.Stats.AcquiresSkipped;
-      return;
-    }
-    if (S.AcquiredSince.empty())
-      S.AcquiredSince.assign(Cfg.MaxThreads, false);
-    S.AcquiredSince[T] = true;
-    if (!S.MultiSource) {
-      if (S.LastReleaser == NoThread ||
-          S.U.get(S.LastReleaser) <= TS.U.get(S.LastReleaser)) {
-        ++TS.Stats.AcquiresSkipped;
-        return;
-      }
-    }
-    // Multi-source content disables the scalar skip (A.2).
-    ++TS.Stats.AcquiresProcessed;
-    TS.U.joinWith(S.U);
-    ++TS.Stats.FullClockOps;
-    unsigned Changed = TS.C.joinCountingChanges(S.C);
-    ++TS.Stats.FullClockOps;
-    TS.U.bump(T, Changed);
-    return;
-  }
-  case Mode::SO: {
-    // Only the O(1) snapshot read happens under the sync mutex; the prefix
-    // traversal works on immutable data and thread-owned state.
-    ListSnapshot Ref;
-    ThreadId LR;
-    ClockValue UScalar, OwnAtRel;
-    {
-      std::lock_guard<std::mutex> G(S.M);
-      if (!S.Initialized || (!S.MultiSource && S.LastReleaser == NoThread)) {
-        ++TS.Stats.AcquiresSkipped;
-        return;
-      }
-      if (S.MultiSource) {
-        // Blended content: unoptimized full join under the sync mutex
-        // (A.2 — "no innovations can be adopted" on this path).
-        ++TS.Stats.AcquiresProcessed;
-        TS.U.joinWith(S.U);
-        ++TS.Stats.FullClockOps;
-        unsigned Changed = 0;
-        for (ThreadId Of = 0; Of < Cfg.MaxThreads; ++Of) {
-          ++TS.Stats.EntriesTraversed;
-          Changed += soApplyEntry(T, Of, S.C.get(Of));
-        }
-        TS.Stats.TraversalOpportunities += Cfg.MaxThreads;
-        ++TS.Stats.FullClockOps;
-        TS.U.bump(T, Changed);
-        return;
-      }
-      Ref = S.Ref;
-      LR = S.LastReleaser;
-      UScalar = S.UScalar;
-      OwnAtRel = S.OwnTimeAtRelease;
-    }
-    ClockValue Known = TS.U.get(LR);
-    if (UScalar <= Known) {
-      ++TS.Stats.AcquiresSkipped;
-      return;
-    }
-    ++TS.Stats.AcquiresProcessed;
-    ClockValue D = UScalar - Known;
-    TS.U.set(LR, UScalar);
-    unsigned Changed = 0;
-    ++TS.Stats.EntriesTraversed;
-    Changed += soApplyEntry(T, LR, OwnAtRel);
-    Ref->visitPrefix(static_cast<size_t>(D),
-                     [&](ThreadId Of, ClockValue Val) {
-                       ++TS.Stats.EntriesTraversed;
-                       Changed += soApplyEntry(T, Of, Val);
-                     });
-    TS.Stats.TraversalOpportunities += Cfg.MaxThreads;
-    TS.U.bump(T, Changed);
-    return;
-  }
-  default:
-    return;
-  }
+  sync(T, OpKind::Acquire, L);
 }
-
 void Runtime::onRelease(ThreadId T, SyncId L) {
-  ThreadState &TS = I->Threads[T];
-  if (Cfg.AnalysisMode == Mode::NT)
-    return;
-  HookSpan PS(TS.PT, TS.PRelease);
-  if (Cfg.RecordTrace)
-    record(Event(T, OpKind::Release, L));
-  if (Cfg.AnalysisMode == Mode::ET) {
-    TS.EtCounter += L;
-    return;
-  }
-  ++TS.Stats.ReleasesTotal;
-  SyncState &S = I->Syncs[L];
-
-  switch (Cfg.AnalysisMode) {
-  case Mode::FT: {
-    {
-      std::lock_guard<std::mutex> G(S.M);
-      if (!S.Initialized) {
-        S.C = VectorClock(Cfg.MaxThreads);
-        S.Initialized = true;
-      }
-      ++TS.Stats.ReleasesProcessed;
-      ++TS.Stats.FullClockOps;
-      S.C.copyFrom(TS.C);
-    }
-    TS.C.bump(T);
-    return;
-  }
-  case Mode::ST: {
-    flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
-    if (!S.Initialized) {
-      S.C = VectorClock(Cfg.MaxThreads);
-      S.Initialized = true;
-    }
-    ++TS.Stats.ReleasesProcessed;
-    ++TS.Stats.FullClockOps;
-    S.C.copyFrom(TS.C);
-    return;
-  }
-  case Mode::SU: {
-    flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
-    if (!S.Initialized) {
-      S.C = VectorClock(Cfg.MaxThreads);
-      S.U = VectorClock(Cfg.MaxThreads);
-      S.Initialized = true;
-    }
-    S.LastReleaser = T;
-    S.MultiSource = false;
-    // Mutex discipline: this thread acquired the lock beforehand, so the
-    // copy is monotone and the skip is sound even after release-joins.
-    if (TS.U.get(T) == S.U.get(T)) {
-      ++TS.Stats.ReleasesSkipped;
-      return;
-    }
-    ++TS.Stats.ReleasesProcessed;
-    TS.Stats.FullClockOps += 2;
-    S.C.copyFrom(TS.C);
-    S.U.copyFrom(TS.U);
-    S.AcquiredSince.assign(Cfg.MaxThreads, false);
-    S.AcquiredSince[T] = true;
-    return;
-  }
-  case Mode::SO: {
-    flushLocalEpoch(T);
-    // Publish-then-mark-shared must be atomic w.r.t. acquirers, but both
-    // writes are thread/sync local: the snapshot goes under the sync mutex,
-    // the shared flag is thread-owned.
-    TS.ListShared = true;
-    ++TS.Stats.ShallowCopies;
-    std::lock_guard<std::mutex> G(S.M);
-    S.Ref = TS.O;
-    S.LastReleaser = T;
-    S.UScalar = TS.U.get(T);
-    S.OwnTimeAtRelease = TS.OwnTime;
-    S.MultiSource = false;
-    S.Initialized = true;
-    return;
-  }
-  default:
-    return;
-  }
+  sync(T, OpKind::Release, L);
 }
-
 void Runtime::onFork(ThreadId Parent, ThreadId Child) {
-  // The child is not running yet: direct access to both states is safe.
-  if (Cfg.RecordTrace && Cfg.AnalysisMode != Mode::NT)
-    record(Event(Parent, OpKind::Fork, Child));
-  ThreadState &P = I->Threads[Parent];
-  ThreadState &C = I->Threads[Child];
-  HookSpan PS(Cfg.AnalysisMode == Mode::NT ? nullptr : P.PT, P.PFork);
-  switch (Cfg.AnalysisMode) {
-  case Mode::NT:
-    return;
-  case Mode::ET:
-    ++P.EtCounter;
-    return;
-  case Mode::FT:
-    ++P.Stats.ReleasesTotal;
-    ++P.Stats.ReleasesProcessed;
-    ++P.Stats.FullClockOps;
-    C.C.joinWith(P.C);
-    P.C.bump(Parent);
-    return;
-  case Mode::ST:
-    ++P.Stats.ReleasesTotal;
-    ++P.Stats.ReleasesProcessed;
-    flushLocalEpoch(Parent);
-    ++P.Stats.FullClockOps;
-    C.C.joinWith(P.C);
-    return;
-  case Mode::SU: {
-    ++P.Stats.ReleasesTotal;
-    ++P.Stats.ReleasesProcessed;
-    flushLocalEpoch(Parent);
-    C.U.joinWith(P.U);
-    unsigned Changed = C.C.joinCountingChanges(P.C);
-    P.Stats.FullClockOps += 2;
-    C.U.bump(Child, Changed);
-    return;
-  }
-  case Mode::SO: {
-    ++P.Stats.ReleasesTotal;
-    ++P.Stats.ReleasesProcessed;
-    flushLocalEpoch(Parent);
-    C.U.joinWith(P.U);
-    ++P.Stats.FullClockOps;
-    unsigned Changed = 0;
-    for (ThreadId Of = 0; Of < Cfg.MaxThreads; ++Of) {
-      ClockValue Val = (Of == Parent) ? P.OwnTime : P.O->get(Of);
-      Changed += soApplyEntry(Child, Of, Val);
-    }
-    P.Stats.EntriesTraversed += Cfg.MaxThreads;
-    P.Stats.TraversalOpportunities += Cfg.MaxThreads;
-    C.U.bump(Child, Changed);
-    return;
-  }
-  }
+  sync(Parent, OpKind::Fork, Child);
 }
-
 void Runtime::onJoin(ThreadId Parent, ThreadId Child) {
-  // The child has been pthread-joined: direct access is safe.
-  if (Cfg.RecordTrace && Cfg.AnalysisMode != Mode::NT)
-    record(Event(Parent, OpKind::Join, Child));
-  ThreadState &P = I->Threads[Parent];
-  ThreadState &C = I->Threads[Child];
-  HookSpan PS(Cfg.AnalysisMode == Mode::NT ? nullptr : P.PT, P.PJoin);
-  switch (Cfg.AnalysisMode) {
-  case Mode::NT:
-    return;
-  case Mode::ET:
-    ++P.EtCounter;
-    return;
-  case Mode::FT:
-    ++P.Stats.AcquiresTotal;
-    ++P.Stats.AcquiresProcessed;
-    ++P.Stats.FullClockOps;
-    P.C.joinWith(C.C);
-    C.C.bump(Child);
-    return;
-  case Mode::ST:
-    ++P.Stats.AcquiresTotal;
-    ++P.Stats.AcquiresProcessed;
-    flushLocalEpoch(Child);
-    ++P.Stats.FullClockOps;
-    P.C.joinWith(C.C);
-    return;
-  case Mode::SU: {
-    ++P.Stats.AcquiresTotal;
-    ++P.Stats.AcquiresProcessed;
-    flushLocalEpoch(Child);
-    P.U.joinWith(C.U);
-    unsigned Changed = P.C.joinCountingChanges(C.C);
-    P.Stats.FullClockOps += 2;
-    P.U.bump(Parent, Changed);
-    return;
-  }
-  case Mode::SO: {
-    ++P.Stats.AcquiresTotal;
-    ++P.Stats.AcquiresProcessed;
-    flushLocalEpoch(Child);
-    P.U.joinWith(C.U);
-    ++P.Stats.FullClockOps;
-    unsigned Changed = 0;
-    for (ThreadId Of = 0; Of < Cfg.MaxThreads; ++Of) {
-      ClockValue Val = (Of == Child) ? C.OwnTime : C.O->get(Of);
-      Changed += soApplyEntry(Parent, Of, Val);
-    }
-    P.Stats.EntriesTraversed += Cfg.MaxThreads;
-    P.Stats.TraversalOpportunities += Cfg.MaxThreads;
-    P.U.bump(Parent, Changed);
-    return;
-  }
-  }
+  sync(Parent, OpKind::Join, Child);
 }
-
-
-//===----------------------------------------------------------------------===//
-// Non-mutex synchronization hooks (appendix A.2)
-//===----------------------------------------------------------------------===//
-
-void Runtime::onReleaseStore(ThreadId T, SyncId Sid) {
-  ThreadState &TS = I->Threads[T];
-  if (Cfg.AnalysisMode == Mode::NT)
-    return;
-  HookSpan PS(TS.PT, TS.PReleaseStore);
-  if (Cfg.RecordTrace)
-    record(Event(T, OpKind::ReleaseStore, Sid));
-  if (Cfg.AnalysisMode == Mode::ET) {
-    TS.EtCounter += Sid;
-    return;
-  }
-  ++TS.Stats.ReleasesTotal;
-  SyncState &S = I->Syncs[Sid];
-
-  switch (Cfg.AnalysisMode) {
-  case Mode::FT: {
-    {
-      std::lock_guard<std::mutex> G(S.M);
-      if (!S.Initialized) {
-        S.C = VectorClock(Cfg.MaxThreads);
-        S.Initialized = true;
-      }
-      ++TS.Stats.ReleasesProcessed;
-      ++TS.Stats.FullClockOps;
-      S.C.copyFrom(TS.C);
-      S.MultiSource = false;
-    }
-    TS.C.bump(T);
-    return;
-  }
-  case Mode::ST: {
-    flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
-    if (!S.Initialized) {
-      S.C = VectorClock(Cfg.MaxThreads);
-      S.Initialized = true;
-    }
-    ++TS.Stats.ReleasesProcessed;
-    ++TS.Stats.FullClockOps;
-    S.C.copyFrom(TS.C);
-    S.MultiSource = false;
-    return;
-  }
-  case Mode::SU: {
-    flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
-    if (!S.Initialized) {
-      S.C = VectorClock(Cfg.MaxThreads);
-      S.U = VectorClock(Cfg.MaxThreads);
-      S.Initialized = true;
-    }
-    if (S.AcquiredSince.empty())
-      S.AcquiredSince.assign(Cfg.MaxThreads, false);
-    // The skip rule requires a monotone update: this thread must have
-    // observed the object's current content (A.2).
-    bool Monotone = !S.MultiSource && S.AcquiredSince[T];
-    if (Monotone && TS.U.get(T) == S.U.get(T)) {
-      ++TS.Stats.ReleasesSkipped;
-      S.LastReleaser = T;
-      S.AcquiredSince[T] = true;
-      return;
-    }
-    ++TS.Stats.ReleasesProcessed;
-    TS.Stats.FullClockOps += 2;
-    S.C.copyFrom(TS.C);
-    S.U.copyFrom(TS.U);
-    S.LastReleaser = T;
-    S.MultiSource = false;
-    S.AcquiredSince.assign(Cfg.MaxThreads, false);
-    S.AcquiredSince[T] = true;
-    return;
-  }
-  case Mode::SO:
-    // A shallow snapshot has replacement semantics by construction, so the
-    // mutex-release path applies unchanged ("the innovations of Algorithm 4
-    // can always be adopted").
-    flushLocalEpoch(T);
-    TS.ListShared = true;
-    ++TS.Stats.ShallowCopies;
-    {
-      std::lock_guard<std::mutex> G(S.M);
-      S.Ref = TS.O;
-      S.LastReleaser = T;
-      S.UScalar = TS.U.get(T);
-      S.OwnTimeAtRelease = TS.OwnTime;
-      S.MultiSource = false;
-      S.Initialized = true;
-    }
-    return;
-  default:
-    return;
-  }
+void Runtime::onReleaseStore(ThreadId T, SyncId S) {
+  sync(T, OpKind::ReleaseStore, S);
 }
-
-void Runtime::onReleaseJoin(ThreadId T, SyncId Sid) {
-  ThreadState &TS = I->Threads[T];
-  if (Cfg.AnalysisMode == Mode::NT)
-    return;
-  HookSpan PS(TS.PT, TS.PReleaseJoin);
-  if (Cfg.RecordTrace)
-    record(Event(T, OpKind::ReleaseJoin, Sid));
-  if (Cfg.AnalysisMode == Mode::ET) {
-    TS.EtCounter += Sid;
-    return;
-  }
-  ++TS.Stats.ReleasesTotal;
-  ++TS.Stats.ReleasesProcessed;
-  SyncState &S = I->Syncs[Sid];
-
-  switch (Cfg.AnalysisMode) {
-  case Mode::FT: {
-    {
-      std::lock_guard<std::mutex> G(S.M);
-      if (!S.Initialized) {
-        S.C = VectorClock(Cfg.MaxThreads);
-        S.Initialized = true;
-      }
-      ++TS.Stats.FullClockOps;
-      S.C.joinWith(TS.C);
-    }
-    TS.C.bump(T);
-    return;
-  }
-  case Mode::ST: {
-    flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
-    if (!S.Initialized) {
-      S.C = VectorClock(Cfg.MaxThreads);
-      S.Initialized = true;
-    }
-    ++TS.Stats.FullClockOps;
-    S.C.joinWith(TS.C);
-    return;
-  }
-  case Mode::SU: {
-    flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
-    if (!S.Initialized) {
-      S.C = VectorClock(Cfg.MaxThreads);
-      S.U = VectorClock(Cfg.MaxThreads);
-      S.Initialized = true;
-    }
-    S.C.joinWith(TS.C);
-    S.U.joinWith(TS.U);
-    TS.Stats.FullClockOps += 2;
-    S.MultiSource = true;
-    S.LastReleaser = T;
-    // Nobody is known to dominate the blended content anymore.
-    S.AcquiredSince.assign(Cfg.MaxThreads, false);
-    return;
-  }
-  case Mode::SO: {
-    flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
-    if (S.C.size() == 0) {
-      S.C = VectorClock(Cfg.MaxThreads);
-      S.U = VectorClock(Cfg.MaxThreads);
-    }
-    if (!S.MultiSource) {
-      // Materialize any single-source snapshot into the owned blend.
-      if (S.Ref) {
-        S.Ref->toVectorClock(S.C, S.LastReleaser, S.OwnTimeAtRelease);
-        S.U.clear();
-        S.U.set(S.LastReleaser, S.UScalar);
-        TS.Stats.FullClockOps += 2;
-        S.Ref.reset();
-      } else {
-        S.C.clear();
-        S.U.clear();
-      }
-      S.MultiSource = true;
-    }
-    // Blend this thread's effective clock.
-    for (ThreadId Of = 0; Of < Cfg.MaxThreads; ++Of) {
-      ClockValue Val = (Of == T) ? TS.OwnTime : TS.O->get(Of);
-      if (Val > S.C.get(Of))
-        S.C.set(Of, Val);
-    }
-    S.U.joinWith(TS.U);
-    TS.Stats.FullClockOps += 2;
-    S.Initialized = true;
-    return;
-  }
-  default:
-    return;
-  }
+void Runtime::onReleaseJoin(ThreadId T, SyncId S) {
+  sync(T, OpKind::ReleaseJoin, S);
 }
-
-void Runtime::onAcquireLoad(ThreadId T, SyncId Sid) { onAcquire(T, Sid); }
+void Runtime::onAcquireLoad(ThreadId T, SyncId S) {
+  sync(T, OpKind::AcquireLoad, S);
+}

@@ -251,11 +251,15 @@ void BTree::put(ThreadId T, uint64_t Key, uint64_t Value) {
 
   // Grow the tree if the root is full (CLRS): a new root above the old
   // one. The old root's latch is held across the split — releasing it
-  // first would let a racing writer insert into a node that is about to
-  // stop being the root.
+  // for good would let a racing writer insert into a node that is about
+  // to stop being the root. It is dropped only to latch the new root
+  // first, parent before child like every descent: nobody can take the
+  // old root meanwhile, because the root is entered only under RootLatch.
   if (count(Rt, T, Cur->frame()) == MaxKeys) {
+    Cur.reset();
     PageId NewRootId = Pool.allocatePage(T);
     Guard NewRoot(Pool, T, NewRootId);
+    Cur.emplace(Pool, T, RootId);
     wr(Rt, T, NewRoot.frame(), OffLeaf, 0);
     wr(Rt, T, NewRoot.frame(), OffCount, 0);
     wr(Rt, T, NewRoot.frame(), OffKids + 0, RootId);

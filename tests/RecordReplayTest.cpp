@@ -106,16 +106,15 @@ TEST(RecordReplay, WellSynchronizedReplayIsRaceFree) {
     // under every offline engine.
     Trace T = Rt.recordedTrace();
     ASSERT_TRUE(T.validate());
-    for (EngineKind K : {EngineKind::Djit, EngineKind::FastTrack,
-                         EngineKind::SamplingNaive, EngineKind::SamplingU,
-                         EngineKind::SamplingO}) {
-      std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
-      MarkedSampler S;
-      rapid::run(T, *D, S);
-      EXPECT_EQ(D->metrics().RacesDeclared, 0u)
-          << engineKindName(K) << " found a phantom race in the replay of "
+    api::SessionConfig Replay;
+    Replay.Engines = {EngineKind::Djit, EngineKind::FastTrack,
+                      EngineKind::SamplingNaive, EngineKind::SamplingU,
+                      EngineKind::SamplingO};
+    Replay.Sampling = api::SamplerKind::Marked;
+    for (const api::EngineRun &E : api::AnalysisSession(Replay).run(T).Engines)
+      EXPECT_EQ(E.Stats.RacesDeclared, 0u)
+          << E.Engine << " found a phantom race in the replay of "
           << modeName(M);
-    }
   }
 }
 
@@ -141,13 +140,14 @@ TEST(RecordReplay, SeededRaceReplaysAtSameLocation) {
   ASSERT_GE(Rt.raceCount(), 1u);
 
   Trace T = Rt.recordedTrace();
-  SamplingOrderedListDetector D(T.numThreads());
-  MarkedSampler S;
-  rapid::run(T, D, S);
-  ASSERT_EQ(D.racyLocations().size(), 1u);
+  api::SessionConfig Replay;
+  Replay.Engines = {EngineKind::SamplingO};
+  Replay.Sampling = api::SamplerKind::Marked;
+  api::EngineRun D = api::AnalysisSession(Replay).run(T).Engines.at(0);
+  ASSERT_EQ(D.NumRacyLocations, 1u);
   // The recorded VarId is the shadow cell of &Shared; the online report
   // used the same cell space, so the location matches by construction.
-  EXPECT_EQ(Rt.racyLocationCount(), D.racyLocations().size());
+  EXPECT_EQ(Rt.racyLocationCount(), D.NumRacyLocations);
 }
 
 TEST(RecordReplay, RecordedWorkloadProgramsAreExplorable) {
