@@ -429,8 +429,8 @@ SessionResult AnalysisSession::finish() {
       E.RacesTruncated = Primary->racesTruncated();
       // Session-owned detectors die right after this loop, so steal their
       // (potentially million-entry) race lists. Borrowed detectors keep
-      // theirs — the caller owns the detector and reads races() directly
-      // (as rapid::run's callers do), so no copy is made here.
+      // theirs — the caller owns the detector and reads races() directly,
+      // so no copy is made here.
       if (!L.Owned.empty())
         E.Races = L.Owned.front()->takeRaces();
     } else {

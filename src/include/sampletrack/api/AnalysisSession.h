@@ -20,9 +20,9 @@
 /// \endcode
 ///
 /// Because every lane consumes the same per-event decision, K engines in
-/// one session see the identical sample set S that K standalone
-/// rapid::Engine runs with the same seed would see (appendix A.1), while
-/// the trace is read exactly once instead of K times. Ingestion is batched
+/// one session see the identical sample set S that K standalone one-lane
+/// sessions with the same seed would see (appendix A.1), while the trace
+/// is read exactly once instead of K times. Ingestion is batched
 /// (\ref AnalysisSession::process over a span); the single-event overload
 /// remains as a compatibility shim for per-event producers.
 ///
@@ -156,8 +156,8 @@ public:
   AnalysisSession &configure(SessionConfig C);
   AnalysisSession &addEngine(EngineKind K);
   AnalysisSession &addEngines(std::span<const EngineKind> Kinds);
-  /// Adds a caller-owned detector lane (legacy interop: rapid::run routes
-  /// through this). The detector must outlive the run and is single-use.
+  /// Adds a caller-owned detector lane. The detector must outlive the run
+  /// and is single-use.
   AnalysisSession &addDetector(Detector &D);
   /// Replaces the config-made sampler with a caller-owned one (borrowed) or
   /// a session-owned one. Decisions are drawn once per access event and

@@ -6,11 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One configuration record for the whole analysis pipeline. SessionConfig
-/// subsumes the knobs that used to be scattered across rapid::runEngine
+/// One configuration record for the whole analysis pipeline: sampling
 /// (rate/seed), rt::Config (clock size, shadow table geometry, recording)
-/// and bench/BenchCommon.h (engine sets), so an AnalysisSession, an online
-/// Runtime and a bench harness can all be driven from the same record.
+/// and engine sets, so an AnalysisSession, an online Runtime and a bench
+/// harness can all be driven from the same record.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +34,7 @@ enum class SamplerKind : uint8_t {
   Never,     ///< Empty S; isolates streaming overhead.
   Bernoulli, ///< Independent coin per access at SamplingRate (the paper's
              ///< strategy). A rate >= 1.0 degrades to Always so runs stay
-             ///< deterministic, mirroring rapid::runEngine.
+             ///< deterministic.
   Periodic,  ///< Every SamplePeriod-th access (deterministic; tests).
   Marked,    ///< Replay the Marked bits carried by the trace.
 };

@@ -28,6 +28,8 @@
 
 namespace sampletrack {
 
+class Trace;
+
 /// Decides, on the fly, whether an access event belongs to the sample set S.
 ///
 /// The decision may be consulted exactly once per event, in trace order;
@@ -128,6 +130,12 @@ public:
   bool shouldSample(const Event &E) override { return E.Marked; }
   std::string name() const override { return "marked"; }
 };
+
+/// Pre-marks a trace: draws the sampling decision for every access with a
+/// Bernoulli sampler and stores it in the Marked bits. Running engines with
+/// a MarkedSampler on the result guarantees identical sample sets across
+/// engines.
+void markTrace(Trace &T, double Rate, uint64_t Seed);
 
 } // namespace sampletrack
 

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small recursive-descent JSON parser producing an owning DOM. It exists
+/// A small recursive-descent JSON parser producing an owning DOM, and the
+/// one string escaper the JSON renderers share. The parser exists
 /// for the repo's own machine-readable outputs — the bench trajectory files
 /// the perf gate diffs, and the chrome-trace/stats documents the tests
 /// schema-check — so it favors simplicity over speed: strings are plain
@@ -67,6 +68,11 @@ public:
   static bool parseFile(const std::string &Path, JsonValue &Out,
                         std::string *Error = nullptr);
 };
+
+/// Escapes \p S for the inside of a JSON string literal: quote and
+/// backslash get a backslash, newline and tab their short escapes, every
+/// other control character \uXXXX. Bytes >= 0x20 pass through unchanged.
+std::string jsonEscape(std::string_view S);
 
 } // namespace support
 } // namespace sampletrack

@@ -29,9 +29,15 @@
 #include "sampletrack/triage/RaceSignature.h"
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace sampletrack {
+namespace support {
+struct ByteReader;
+} // namespace support
+
 namespace triage {
 
 /// One deduplicated race: its signature, how many times it was declared,
@@ -65,6 +71,34 @@ struct TriageSummary {
 
   bool operator==(const TriageSummary &O) const = default;
 };
+
+// -- Byte codec ----------------------------------------------------------
+//
+// The summary body is one layout wherever a summary is persisted or sent:
+// the "STSG" signature summary wraps it after a signature version, and the
+// "STTJ" journal record after its run index and run id.
+//
+//   body     := u64 declared  u64 dropped  u8 capped  u64 count
+//               count * { u64 sig  u64 hits  exemplar }
+//   exemplar := u64 event  u32 tid  u64 var  u8 kind
+//
+// The "STTS" store record carries the same exemplar layout.
+
+/// Appends \p R's exemplar bytes.
+void putExemplar(std::string &Out, const RaceReport &R);
+/// Reads one exemplar; false on truncation. The op kind is read as is:
+/// callers reject kinds past OpKind::AcquireLoad.
+bool getExemplar(support::ByteReader &In, RaceReport &R);
+
+/// Appends \p S's body.
+void encodeSummaryBody(std::string &Out, const TriageSummary &S);
+/// Decodes a body spanning all of \p Bytes. Rejects truncation, trailing
+/// garbage, a capped flag other than 0/1, out-of-range op kinds, zero hit
+/// counts, duplicate signatures, declared < hits + dropped, and a capped
+/// flag that disagrees with dropped. On failure returns false, fills
+/// \p Error and leaves \p Out untouched.
+bool decodeSummaryBody(std::string_view Bytes, TriageSummary &Out,
+                       std::string *Error);
 
 /// The bounded dedup table. See the file comment for the hot-path and
 /// concurrency contracts.

@@ -8,6 +8,7 @@
 #include "sampletrack/prof/ChromeTrace.h"
 
 #include "sampletrack/prof/Profiler.h"
+#include "sampletrack/support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -16,22 +17,6 @@ namespace sampletrack {
 namespace prof {
 
 namespace {
-
-std::string jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"')
-      Out += "\\\"";
-    else if (C == '\\')
-      Out += "\\\\";
-    else if (static_cast<unsigned char>(C) < 0x20)
-      Out += ' ';
-    else
-      Out += C;
-  }
-  return Out;
-}
 
 /// Microseconds with sub-µs precision, relative to \p Base.
 std::string micros(uint64_t Nanos, uint64_t Base) {
@@ -69,14 +54,14 @@ std::string toChromeTrace(std::span<const TraceSource> Sources) {
     std::string Pid = std::to_string(P + 1);
     emit("{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " + Pid +
          ", \"tid\": 0, \"args\": {\"name\": \"" +
-         jsonEscape(Src.ProcessName) + "\"}}");
+         support::jsonEscape(Src.ProcessName) + "\"}}");
     std::vector<const Tree *> Trees = Src.Prof->trees();
     for (size_t T = 0; T < Trees.size(); ++T) {
       const Tree *Tr = Trees[T];
       std::string Tid = std::to_string(T + 1);
       emit("{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " + Pid +
            ", \"tid\": " + Tid + ", \"args\": {\"name\": \"" +
-           jsonEscape(Tr->name()) + "\"}}");
+           support::jsonEscape(Tr->name()) + "\"}}");
       for (const TimelineEvent &E : Tr->timeline()) {
         uint64_t Dur = E.EndNanos > E.StartNanos ? E.EndNanos - E.StartNanos
                                                  : 0;
@@ -85,17 +70,17 @@ std::string toChromeTrace(std::span<const TraceSource> Sources) {
                       static_cast<unsigned long long>(Dur / 1000),
                       static_cast<unsigned long long>(Dur % 1000));
         emit("{\"ph\": \"X\", \"name\": \"" +
-             jsonEscape(Tr->nodeName(E.Node)) + "\", \"cat\": \"" +
-             jsonEscape(Src.ProcessName) + "\", \"pid\": " + Pid +
+             support::jsonEscape(Tr->nodeName(E.Node)) + "\", \"cat\": \"" +
+             support::jsonEscape(Src.ProcessName) + "\", \"pid\": " + Pid +
              ", \"tid\": " + Tid +
              ", \"ts\": " + micros(E.StartNanos, Base) +
              ", \"dur\": " + DurBuf + "}");
       }
       for (const CounterSample &C : Tr->counterSamples())
-        emit("{\"ph\": \"C\", \"name\": \"" + jsonEscape(C.Name) +
+        emit("{\"ph\": \"C\", \"name\": \"" + support::jsonEscape(C.Name) +
              "\", \"pid\": " + Pid + ", \"tid\": " + Tid +
              ", \"ts\": " + micros(C.Nanos, Base) + ", \"args\": {\"" +
-             jsonEscape(C.Name) + "\": " + std::to_string(C.Value) + "}}");
+             support::jsonEscape(C.Name) + "\": " + std::to_string(C.Value) + "}}");
     }
   }
   Out += "\n], \"displayTimeUnit\": \"ms\"}\n";

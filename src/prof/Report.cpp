@@ -7,6 +7,8 @@
 
 #include "sampletrack/prof/Report.h"
 
+#include "sampletrack/support/Json.h"
+
 #include <cstdio>
 
 namespace sampletrack {
@@ -19,36 +21,6 @@ void stripNode(ReportNode &N) {
   N.ExclusiveNanos = 0;
   for (ReportNode &C : N.Children)
     stripNode(C);
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 std::string fmtNanos(uint64_t Nanos) {
@@ -85,7 +57,7 @@ void jsonNode(const ReportNode &N, const std::string &Prefix, bool &First,
     Out += ", ";
   First = false;
   Out += "{\"path\": \"";
-  Out += jsonEscape(Path);
+  Out += support::jsonEscape(Path);
   Out += "\", \"count\": ";
   Out += std::to_string(N.Count);
   Out += ", \"inclusiveNanos\": ";
@@ -98,7 +70,7 @@ void jsonNode(const ReportNode &N, const std::string &Prefix, bool &First,
       if (I)
         Out += ", ";
       Out += '"';
-      Out += jsonEscape(N.Counters[I].first);
+      Out += support::jsonEscape(N.Counters[I].first);
       Out += "\": ";
       Out += std::to_string(N.Counters[I].second);
     }

@@ -7,6 +7,7 @@
 
 #include "sampletrack/sampling/Sampler.h"
 #include "sampletrack/sampling/PeriodSamplers.h"
+#include "sampletrack/trace/Trace.h"
 
 #include <cstdio>
 
@@ -16,6 +17,15 @@ std::string BernoulliSampler::name() const {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "bernoulli(%.3g%%)", Rate * 100.0);
   return Buf;
+}
+
+void sampletrack::markTrace(Trace &T, double Rate, uint64_t Seed) {
+  BernoulliSampler S(Rate, Seed);
+  for (size_t I = 0; I < T.size(); ++I) {
+    Event &E = T[I];
+    if (isAccess(E.Kind))
+      E.Marked = Rate >= 1.0 ? true : S.shouldSample(E);
+  }
 }
 
 std::string PacerSampler::name() const {

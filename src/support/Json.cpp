@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <fstream>
 #include <locale>
 #include <sstream>
@@ -369,6 +370,37 @@ bool JsonValue::parseFile(const std::string &Path, JsonValue &Out,
   std::ostringstream Os;
   Os << Is.rdbuf();
   return parse(Os.str(), Out, Error);
+}
+
+std::string jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(C)));
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out;
 }
 
 } // namespace support

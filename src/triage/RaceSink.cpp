@@ -7,8 +7,11 @@
 
 #include "sampletrack/triage/RaceSink.h"
 
+#include "sampletrack/support/Bytes.h"
+
 #include <algorithm>
 #include <cassert>
+#include <unordered_set>
 
 using namespace sampletrack;
 using namespace sampletrack::triage;
@@ -150,4 +153,88 @@ sampletrack::triage::mergeShardSummaries(const std::vector<TriageSummary> &Shard
   Out.DroppedDeclarations += Merged.DroppedDeclarations;
   Out.Capped = Out.Capped || Merged.Capped;
   return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// Byte codec
+//===----------------------------------------------------------------------===//
+
+void sampletrack::triage::putExemplar(std::string &Out, const RaceReport &R) {
+  support::putU64(Out, R.EventIndex);
+  support::putU32(Out, R.Tid);
+  support::putU64(Out, R.Var);
+  support::putU8(Out, static_cast<uint8_t>(R.Kind));
+}
+
+bool sampletrack::triage::getExemplar(support::ByteReader &In,
+                                      RaceReport &R) {
+  uint32_t Tid = 0;
+  uint8_t Kind = 0;
+  if (!In.getU64(R.EventIndex) || !In.getU32(Tid) || !In.getU64(R.Var) ||
+      !In.getU8(Kind))
+    return false;
+  R.Tid = Tid;
+  R.Kind = static_cast<OpKind>(Kind);
+  return true;
+}
+
+void sampletrack::triage::encodeSummaryBody(std::string &Out,
+                                            const TriageSummary &S) {
+  Out.reserve(Out.size() + 25 + S.Entries.size() * 37);
+  support::putU64(Out, S.RacesDeclared);
+  support::putU64(Out, S.DroppedDeclarations);
+  support::putU8(Out, S.Capped ? 1 : 0);
+  support::putU64(Out, S.Entries.size());
+  for (const TriageEntry &E : S.Entries) {
+    support::putU64(Out, E.Signature);
+    support::putU64(Out, E.Hits);
+    putExemplar(Out, E.Exemplar);
+  }
+}
+
+bool sampletrack::triage::decodeSummaryBody(std::string_view Bytes,
+                                            TriageSummary &Out,
+                                            std::string *Error) {
+  auto Fail = [&](const char *Msg) {
+    if (Error)
+      *Error = Msg;
+    return false;
+  };
+  support::ByteReader Rd{Bytes};
+  TriageSummary S;
+  uint8_t Capped = 0;
+  uint64_t Count = 0;
+  if (!Rd.getU64(S.RacesDeclared) || !Rd.getU64(S.DroppedDeclarations) ||
+      !Rd.getU8(Capped) || !Rd.getU64(Count))
+    return Fail("truncated summary counts");
+  if (Capped > 1)
+    return Fail("corrupt summary (bad capped flag)");
+  S.Capped = Capped != 0;
+  std::unordered_set<uint64_t> Seen;
+  S.Entries.reserve(Count < (1u << 20) ? Count : (1u << 20));
+  uint64_t HitTotal = 0;
+  for (uint64_t I = 0; I < Count; ++I) {
+    TriageEntry E;
+    if (!Rd.getU64(E.Signature) || !Rd.getU64(E.Hits) ||
+        !getExemplar(Rd, E.Exemplar))
+      return Fail("truncated summary entry");
+    if (E.Exemplar.Kind > OpKind::AcquireLoad)
+      return Fail("corrupt summary entry (bad op kind)");
+    if (E.Hits == 0)
+      return Fail("corrupt summary entry (zero hit count)");
+    if (!Seen.insert(E.Signature).second)
+      return Fail("corrupt summary (duplicate signature)");
+    HitTotal += E.Hits;
+    S.Entries.push_back(E);
+  }
+  if (!Rd.exhausted())
+    return Fail("trailing garbage after the last summary entry");
+  // Declared counts every insert, stored or dropped; it can never be less
+  // than what the stored entries account for.
+  if (S.RacesDeclared < HitTotal + S.DroppedDeclarations)
+    return Fail("corrupt summary (declaration counts inconsistent)");
+  if (S.Capped != (S.DroppedDeclarations != 0))
+    return Fail("corrupt summary (capped flag inconsistent)");
+  Out = std::move(S);
+  return true;
 }

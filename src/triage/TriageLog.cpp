@@ -7,28 +7,23 @@
 
 #include "sampletrack/triage/TriageLog.h"
 
-#include "sampletrack/support/Common.h"
+#include "sampletrack/support/Bytes.h"
 #include "sampletrack/triage/RaceSignature.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace sampletrack;
 using namespace sampletrack::triage;
 
 //===----------------------------------------------------------------------===//
-// Journal framing ("STTJ"). Little-endian, FNV-1a checksummed, same byte
-// discipline as the store and wire formats; kept local — each format owns
-// its framing.
+// Journal framing ("STTJ"). Little-endian and FNV-1a checksummed through
+// support/Bytes.h, like the store and wire formats; the framing is this
+// format's own, the summary body is triage::encodeSummaryBody's.
 //
 //   header := "STTJ" u32(version=1) u64 fnv1a(tail)
 //             tail := u32 sigVersion  u64 baseRuns
 //   record := u32 len  u64 fnv1a(payload)  payload[len]
-//   payload:= u32 runIndex  u8 content  u16 runIdLen  runId
-//             u64 declared  u64 dropped  u8 capped  u64 count
-//             count * { u64 sig  u64 hits
-//                       u64 exemplarEvent u32 exemplarTid
-//                       u64 exemplarVar  u8 exemplarKind }
+//   payload:= u32 runIndex  u8 content  u16 runIdLen  runId  summaryBody
 //
 // `runIndex` is the store run counter the record advances the store *to*;
 // records must be contiguous from baseRuns+1. The 12-byte record preamble
@@ -45,82 +40,6 @@ constexpr size_t JournalHeaderSize = 28;
 constexpr size_t RecordPreambleSize = 12; // u32 len + u64 checksum
 constexpr size_t MaxRunIdBytes = 256;
 
-void putU16(std::string &S, uint16_t V) {
-  S.push_back(static_cast<char>(V & 0xff));
-  S.push_back(static_cast<char>((V >> 8) & 0xff));
-}
-
-void putU32(std::string &S, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &S, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-uint64_t fnv1a(std::string_view Bytes) {
-  Fnv1a H;
-  H.bytes(Bytes.data(), Bytes.size());
-  return H.value();
-}
-
-/// Bounds-checked little-endian reader over a byte view.
-struct ViewReader {
-  std::string_view Bytes;
-  size_t Pos = 0;
-
-  bool getU16(uint16_t &V) {
-    if (Bytes.size() - Pos < 2)
-      return false;
-    V = static_cast<uint16_t>(
-        static_cast<unsigned char>(Bytes[Pos]) |
-        (static_cast<unsigned char>(Bytes[Pos + 1]) << 8));
-    Pos += 2;
-    return true;
-  }
-
-  bool getU32(uint32_t &V) {
-    if (Bytes.size() - Pos < 4)
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 4;
-    return true;
-  }
-
-  bool getU64(uint64_t &V) {
-    if (Bytes.size() - Pos < 8)
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 8;
-    return true;
-  }
-
-  bool getByte(uint8_t &V) {
-    if (Pos >= Bytes.size())
-      return false;
-    V = static_cast<unsigned char>(Bytes[Pos++]);
-    return true;
-  }
-
-  bool getBytes(std::string &Out, size_t Len) {
-    if (Bytes.size() - Pos < Len)
-      return false;
-    Out.assign(Bytes.data() + Pos, Len);
-    Pos += Len;
-    return true;
-  }
-
-  bool exhausted() const { return Pos == Bytes.size(); }
-};
-
 bool fail(std::string *Error, const std::string &Msg) {
   if (Error)
     *Error = Msg;
@@ -129,13 +48,13 @@ bool fail(std::string *Error, const std::string &Msg) {
 
 std::string journalHeader(uint64_t BaseRuns) {
   std::string Tail;
-  putU32(Tail, RaceSignature::Version);
-  putU64(Tail, BaseRuns);
+  support::putU32(Tail, RaceSignature::Version);
+  support::putU64(Tail, BaseRuns);
   std::string Out;
   Out.reserve(JournalHeaderSize);
   Out.append(JournalMagic, 4);
-  putU32(Out, JournalVersion);
-  putU64(Out, fnv1a(Tail));
+  support::putU32(Out, JournalVersion);
+  support::putU64(Out, support::fnv1a(Tail));
   Out += Tail;
   return Out;
 }
@@ -144,42 +63,45 @@ std::string encodeRecord(uint32_t RunIndex, uint8_t Content,
                          const std::string &RunId, const TriageSummary &S) {
   std::string Payload;
   Payload.reserve(32 + RunId.size() + S.Entries.size() * 37);
-  putU32(Payload, RunIndex);
-  Payload.push_back(static_cast<char>(Content));
-  putU16(Payload, static_cast<uint16_t>(RunId.size()));
+  support::putU32(Payload, RunIndex);
+  support::putU8(Payload, Content);
+  support::putU16(Payload, static_cast<uint16_t>(RunId.size()));
   Payload += RunId;
-  putU64(Payload, S.RacesDeclared);
-  putU64(Payload, S.DroppedDeclarations);
-  Payload.push_back(S.Capped ? 1 : 0);
-  putU64(Payload, S.Entries.size());
-  for (const TriageEntry &E : S.Entries) {
-    putU64(Payload, E.Signature);
-    putU64(Payload, E.Hits);
-    putU64(Payload, E.Exemplar.EventIndex);
-    putU32(Payload, E.Exemplar.Tid);
-    putU64(Payload, E.Exemplar.Var);
-    Payload.push_back(static_cast<char>(E.Exemplar.Kind));
-  }
+  encodeSummaryBody(Payload, S);
   std::string Out;
   Out.reserve(RecordPreambleSize + Payload.size());
-  putU32(Out, static_cast<uint32_t>(Payload.size()));
-  putU64(Out, fnv1a(Payload));
+  support::putU32(Out, static_cast<uint32_t>(Payload.size()));
+  support::putU64(Out, support::fnv1a(Payload));
   Out += Payload;
   return Out;
 }
 
+/// Everything the journal knows about one run but its merge result.
+TriageLog::RunInfo runInfoOf(uint32_t Run, std::string RunId, uint8_t Content,
+                             const TriageSummary &S) {
+  TriageLog::RunInfo Info;
+  Info.Run = Run;
+  Info.RunId = std::move(RunId);
+  Info.Content = Content;
+  Info.Declared = S.RacesDeclared;
+  Info.Dropped = S.DroppedDeclarations;
+  Info.Capped = S.Capped;
+  Info.Distinct = S.Entries.size();
+  return Info;
+}
+
 /// Parses one verified record payload back into (RunInfo-sans-Merge,
-/// TriageSummary), enforcing the same structural invariants decodeSummary
-/// does — the journal stores exactly what was merged, so corruption must
-/// not deserialize into a mergeable summary.
+/// TriageSummary). The summary body goes through the same decoder as the
+/// "STSG" summary: the journal stores exactly what was merged, so
+/// corruption must not deserialize into a mergeable summary.
 bool decodeRecordPayload(std::string_view Payload, uint32_t ExpectedRun,
                          TriageLog::RunInfo &Info, TriageSummary &S,
                          std::string *Error) {
-  ViewReader Rd{Payload};
+  support::ByteReader Rd{Payload};
   uint32_t RunIndex = 0;
   uint8_t Content = 0;
   uint16_t RunIdLen = 0;
-  if (!Rd.getU32(RunIndex) || !Rd.getByte(Content) || !Rd.getU16(RunIdLen))
+  if (!Rd.getU32(RunIndex) || !Rd.getU8(Content) || !Rd.getU16(RunIdLen))
     return fail(Error, "truncated record header");
   if (RunIndex != ExpectedRun)
     return fail(Error, "run index " + std::to_string(RunIndex) +
@@ -191,49 +113,9 @@ bool decodeRecordPayload(std::string_view Payload, uint32_t ExpectedRun,
   std::string RunId;
   if (!Rd.getBytes(RunId, RunIdLen))
     return fail(Error, "truncated run id");
-  uint8_t Capped = 0;
-  uint64_t Count = 0;
-  if (!Rd.getU64(S.RacesDeclared) || !Rd.getU64(S.DroppedDeclarations) ||
-      !Rd.getByte(Capped) || !Rd.getU64(Count))
-    return fail(Error, "truncated record counts");
-  if (Capped > 1)
-    return fail(Error, "bad capped flag");
-  S.Capped = Capped != 0;
-  std::unordered_set<uint64_t> Seen;
-  S.Entries.reserve(Count < (1u << 20) ? Count : (1u << 20));
-  uint64_t HitTotal = 0;
-  for (uint64_t I = 0; I < Count; ++I) {
-    TriageEntry E;
-    uint32_t Tid = 0;
-    uint8_t Kind = 0;
-    if (!Rd.getU64(E.Signature) || !Rd.getU64(E.Hits) ||
-        !Rd.getU64(E.Exemplar.EventIndex) || !Rd.getU32(Tid) ||
-        !Rd.getU64(E.Exemplar.Var) || !Rd.getByte(Kind))
-      return fail(Error, "truncated record entry");
-    if (Kind > static_cast<uint8_t>(OpKind::AcquireLoad))
-      return fail(Error, "bad op kind in record entry");
-    if (E.Hits == 0)
-      return fail(Error, "zero hit count in record entry");
-    if (!Seen.insert(E.Signature).second)
-      return fail(Error, "duplicate signature in record");
-    E.Exemplar.Tid = Tid;
-    E.Exemplar.Kind = static_cast<OpKind>(Kind);
-    HitTotal += E.Hits;
-    S.Entries.push_back(E);
-  }
-  if (!Rd.exhausted())
-    return fail(Error, "trailing garbage after the last record entry");
-  if (S.RacesDeclared < HitTotal + S.DroppedDeclarations)
-    return fail(Error, "declaration counts inconsistent");
-  if (S.Capped != (S.DroppedDeclarations != 0))
-    return fail(Error, "capped flag inconsistent");
-  Info.Run = RunIndex;
-  Info.RunId = std::move(RunId);
-  Info.Content = Content;
-  Info.Declared = S.RacesDeclared;
-  Info.Dropped = S.DroppedDeclarations;
-  Info.Capped = S.Capped;
-  Info.Distinct = S.Entries.size();
+  if (!decodeSummaryBody(Rd.rest(), S, Error))
+    return false;
+  Info = runInfoOf(RunIndex, std::move(RunId), Content, S);
   return true;
 }
 
@@ -422,34 +304,28 @@ bool TriageLog::openDirectory(const Options &, std::string *Error) {
   // anything less is corruption, not a tear.
   if (Bytes.size() < JournalHeaderSize)
     return fail(Error, "'" + journalPath(Gen) + "': truncated journal header");
-  ViewReader Hd{Bytes};
-  uint32_t Ver = 0;
-  uint64_t Sum = 0, BaseRuns = 0, SigVer32 = 0;
-  {
-    for (int I = 0; I < 4; ++I)
-      if (Bytes[I] != JournalMagic[I])
-        return fail(Error, "'" + journalPath(Gen) +
-                               "': not a triage journal (bad magic)");
-    Hd.Pos = 4;
-    uint32_t SigVer = 0;
-    if (!Hd.getU32(Ver) || !Hd.getU64(Sum) || !Hd.getU32(SigVer) ||
-        !Hd.getU64(BaseRuns))
-      return fail(Error, "'" + journalPath(Gen) + "': truncated journal "
-                                                  "header");
-    SigVer32 = SigVer;
-  }
+  support::ByteReader Hd{Bytes};
+  if (!Hd.getMagic(JournalMagic))
+    return fail(Error, "'" + journalPath(Gen) +
+                           "': not a triage journal (bad magic)");
+  uint32_t Ver = 0, SigVer = 0;
+  uint64_t Sum = 0, BaseRuns = 0;
+  if (!Hd.getU32(Ver) || !Hd.getU64(Sum) || !Hd.getU32(SigVer) ||
+      !Hd.getU64(BaseRuns))
+    return fail(Error, "'" + journalPath(Gen) + "': truncated journal "
+                                                "header");
   if (Ver != JournalVersion)
     return fail(Error, "'" + journalPath(Gen) +
                            "': unsupported journal version " +
                            std::to_string(Ver) + " (this build speaks " +
                            std::to_string(JournalVersion) + ")");
-  if (fnv1a(std::string_view(Bytes).substr(16, 12)) != Sum)
+  if (support::fnv1a(std::string_view(Bytes).substr(16, 12)) != Sum)
     return fail(Error, "'" + journalPath(Gen) + "': journal header checksum "
                                                 "mismatch");
-  if (SigVer32 != RaceSignature::Version)
+  if (SigVer != RaceSignature::Version)
     return fail(Error, "'" + journalPath(Gen) +
                            "': race-signature version mismatch (journal has "
-                           "v" + std::to_string(SigVer32) +
+                           "v" + std::to_string(SigVer) +
                            ", this build speaks v" +
                            std::to_string(RaceSignature::Version) + ")");
   if (BaseRuns != BaseRunsAtOpen)
@@ -466,7 +342,7 @@ bool TriageLog::openDirectory(const Options &, std::string *Error) {
     uint32_t Len = 0;
     uint64_t RecSum = 0;
     if (!Torn) {
-      ViewReader Rd{std::string_view(Bytes).substr(Pos)};
+      support::ByteReader Rd{Bytes, Pos};
       (void)Rd.getU32(Len);
       (void)Rd.getU64(RecSum);
       Torn = Len > Remaining - RecordPreambleSize;
@@ -486,7 +362,7 @@ bool TriageLog::openDirectory(const Options &, std::string *Error) {
     }
     std::string_view Payload =
         std::string_view(Bytes).substr(Pos + RecordPreambleSize, Len);
-    if (fnv1a(Payload) != RecSum)
+    if (support::fnv1a(Payload) != RecSum)
       return fail(Error, "'" + journalPath(Gen) + "': journal record at "
                                                   "offset " +
                              std::to_string(Pos) +
@@ -565,48 +441,28 @@ bool TriageLog::appendRun(const TriageSummary &S, const std::string &RunId,
   if (RunId.size() > MaxRunIdBytes)
     return fail(Error, "run id exceeds " + std::to_string(MaxRunIdBytes) +
                            " bytes");
-  if (inMemory()) {
-    RunInfo Info;
-    Info.Run = Store.runCount() + 1;
-    Info.RunId = RunId;
-    Info.Content = Content;
-    Info.Declared = S.RacesDeclared;
-    Info.Dropped = S.DroppedDeclarations;
-    Info.Capped = S.Capped;
-    Info.Distinct = S.Entries.size();
-    Out = Store.mergeRun(S);
-    Info.Merge = Out;
-    Runs.push_back(std::move(Info));
-    return true;
-  }
-  if (Poisoned)
-    return fail(Error, "store is poisoned by an earlier append failure; "
-                       "restart to recover");
-  if (!Journal)
-    return fail(Error, "store is not open");
-
   const uint32_t RunIndex = Store.runCount() + 1;
-  const std::string Record = encodeRecord(RunIndex, Content, RunId, S);
-  // fsync-before-ack: the record must be durable before the merge becomes
-  // visible (and before the caller acknowledges the upload). If either
-  // step fails, a torn record may sit on disk — poison the log so no
-  // further append writes after it; a reopen truncates the tear.
-  if (!support::writeAll(*Journal, Record) || !Journal->sync()) {
-    Poisoned = true;
-    return fail(Error, "I/O error appending to '" + journalPath(Gen) +
-                           "' (store poisoned until reopen)");
+  if (!inMemory()) {
+    if (Poisoned)
+      return fail(Error, "store is poisoned by an earlier append failure; "
+                         "restart to recover");
+    if (!Journal)
+      return fail(Error, "store is not open");
+    const std::string Record = encodeRecord(RunIndex, Content, RunId, S);
+    // fsync-before-ack: the record must be durable before the merge
+    // becomes visible (and before the caller acknowledges the upload). If
+    // either step fails, a torn record may sit on disk — poison the log so
+    // no further append writes after it; a reopen truncates the tear.
+    if (!support::writeAll(*Journal, Record) || !Journal->sync()) {
+      Poisoned = true;
+      return fail(Error, "I/O error appending to '" + journalPath(Gen) +
+                             "' (store poisoned until reopen)");
+    }
+    JournalSize += Record.size();
+    BytesAppended += Record.size();
   }
-  JournalSize += Record.size();
-  BytesAppended += Record.size();
 
-  RunInfo Info;
-  Info.Run = RunIndex;
-  Info.RunId = RunId;
-  Info.Content = Content;
-  Info.Declared = S.RacesDeclared;
-  Info.Dropped = S.DroppedDeclarations;
-  Info.Capped = S.Capped;
-  Info.Distinct = S.Entries.size();
+  RunInfo Info = runInfoOf(RunIndex, RunId, Content, S);
   Out = Store.mergeRun(S);
   Info.Merge = Out;
   Runs.push_back(std::move(Info));

@@ -7,10 +7,11 @@
 
 #include "sampletrack/triage/TriageStore.h"
 
+#include "sampletrack/support/Bytes.h"
+
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 
 using namespace sampletrack;
@@ -139,8 +140,9 @@ TriageStore::ranked(size_t TopN) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Persistence: compact little-endian binary, versioned with the signature
-// scheme and checksummed so corruption is rejected, never loaded.
+// Persistence: compact little-endian binary (support/Bytes.h), versioned
+// with the signature scheme and checksummed so corruption is rejected,
+// never loaded.
 //
 // Layout (format version 2):
 //   "STTS"  magic
@@ -148,6 +150,8 @@ TriageStore::ranked(size_t TopN) const {
 //   u64     FNV-1a checksum of the payload that follows
 //   payload: u32 signature version | u32 run counter | u64 record count |
 //            records
+//   record:  u64 sig | u64 hits | u32 runs | u32 first seen | u32 last seen
+//            | u8 suppressed | u8 status | exemplar (triage/RaceSink.h)
 //
 // deserialize() verifies, in order: magic, format version (a clear message
 // for stores written by other versions), checksum (any truncation or bit
@@ -166,67 +170,13 @@ namespace {
 constexpr char Magic[4] = {'S', 'T', 'T', 'S'};
 constexpr uint32_t FormatVersion = 2;
 
-uint64_t fnv1a(const std::string &Bytes) {
-  Fnv1a H;
-  H.bytes(Bytes.data(), Bytes.size());
-  return H.value();
-}
-
-void putU32(std::string &S, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &S, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-/// Bounds-checked little-endian reader over the in-memory payload.
-struct PayloadReader {
-  const std::string &Bytes;
-  size_t Pos = 0;
-
-  bool getU32(uint32_t &V) {
-    if (Bytes.size() - Pos < 4)
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(
-               static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 4;
-    return true;
-  }
-
-  bool getU64(uint64_t &V) {
-    if (Bytes.size() - Pos < 8)
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(
-               static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 8;
-    return true;
-  }
-
-  bool getByte(uint8_t &V) {
-    if (Pos >= Bytes.size())
-      return false;
-    V = static_cast<unsigned char>(Bytes[Pos++]);
-    return true;
-  }
-
-  bool exhausted() const { return Pos == Bytes.size(); }
-};
-
 } // namespace
 
 std::string TriageStore::serialize() const {
   // The payload first so the header can carry its checksum.
+  using namespace support;
   std::string Payload;
-  Payload.reserve(16 + Records.size() * 46);
+  Payload.reserve(16 + Records.size() * 51);
   putU32(Payload, RaceSignature::Version);
   putU32(Payload, RunCounter);
   putU64(Payload, Records.size());
@@ -236,12 +186,9 @@ std::string TriageStore::serialize() const {
     putU32(Payload, R.Runs);
     putU32(Payload, R.FirstSeenRun);
     putU32(Payload, R.LastSeenRun);
-    Payload.push_back(R.Suppressed ? 1 : 0);
-    Payload.push_back(static_cast<char>(R.LastStatus));
-    putU64(Payload, R.Exemplar.EventIndex);
-    putU32(Payload, R.Exemplar.Tid);
-    putU64(Payload, R.Exemplar.Var);
-    Payload.push_back(static_cast<char>(R.Exemplar.Kind));
+    putU8(Payload, R.Suppressed ? 1 : 0);
+    putU8(Payload, static_cast<uint8_t>(R.LastStatus));
+    putExemplar(Payload, R.Exemplar);
   }
 
   std::string Out;
@@ -305,12 +252,12 @@ bool TriageStore::deserialize(const std::string &Image, std::string *Error) {
       *Error = Msg;
     return false;
   };
-  if (Image.size() < 16 || std::memcmp(Image.data(), Magic, 4) != 0)
+  support::ByteReader Rd{Image};
+  if (Image.size() < 16 || !Rd.getMagic(Magic))
     return Fail("not a triage store (bad magic)");
-  PayloadReader Hd{Image, 4};
   uint32_t Fmt = 0;
   uint64_t Sum = 0;
-  if (!Hd.getU32(Fmt) || !Hd.getU64(Sum))
+  if (!Rd.getU32(Fmt) || !Rd.getU64(Sum))
     return Fail("truncated header");
   if (Fmt != FormatVersion)
     return Fail("unsupported store format version " + std::to_string(Fmt) +
@@ -320,11 +267,9 @@ bool TriageStore::deserialize(const std::string &Image, std::string *Error) {
   // Verify the payload checksum before believing one byte of it: a chopped
   // file or a flipped bit anywhere past the header fails here instead of
   // parsing into garbage.
-  std::string Bytes = Image.substr(16);
-  if (fnv1a(Bytes) != Sum)
+  if (support::fnv1a(Rd.rest()) != Sum)
     return Fail("payload checksum mismatch (truncated or corrupted store)");
 
-  PayloadReader Rd{Bytes};
   uint32_t SigVer = 0, Runs = 0;
   uint64_t Count = 0;
   if (!Rd.getU32(SigVer) || !Rd.getU32(Runs) || !Rd.getU64(Count))
@@ -336,22 +281,18 @@ bool TriageStore::deserialize(const std::string &Image, std::string *Error) {
   Loaded.reserve(Count < (1u << 20) ? Count : (1u << 20));
   for (uint64_t I = 0; I < Count; ++I) {
     Record R;
-    uint32_t Tid = 0;
-    uint8_t Flag = 0, Status = 0, Kind = 0;
+    uint8_t Flag = 0, Status = 0;
     if (!Rd.getU64(R.Signature) || !Rd.getU64(R.Hits) ||
         !Rd.getU32(R.Runs) || !Rd.getU32(R.FirstSeenRun) ||
-        !Rd.getU32(R.LastSeenRun) || !Rd.getByte(Flag) ||
-        !Rd.getByte(Status) || !Rd.getU64(R.Exemplar.EventIndex) ||
-        !Rd.getU32(Tid) || !Rd.getU64(R.Exemplar.Var) || !Rd.getByte(Kind))
+        !Rd.getU32(R.LastSeenRun) || !Rd.getU8(Flag) || !Rd.getU8(Status) ||
+        !getExemplar(Rd, R.Exemplar))
       return Fail("truncated record");
-    if (Kind > static_cast<uint8_t>(OpKind::AcquireLoad))
+    if (R.Exemplar.Kind > OpKind::AcquireLoad)
       return Fail("corrupt record (bad op kind)");
     if (Status > static_cast<uint8_t>(RaceStatus::Suppressed))
       return Fail("corrupt record (bad status)");
     R.Suppressed = Flag != 0;
     R.LastStatus = static_cast<RaceStatus>(Status);
-    R.Exemplar.Tid = Tid;
-    R.Exemplar.Kind = static_cast<OpKind>(Kind);
     // Structural invariants every mergeRun-produced record satisfies.
     if (R.Runs == 0) {
       // Only a pre-suppression placeholder has no sighting history.

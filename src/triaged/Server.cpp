@@ -8,6 +8,7 @@
 #include "sampletrack/triaged/Server.h"
 
 #include "sampletrack/api/AnalysisSession.h"
+#include "sampletrack/support/Json.h"
 #include "sampletrack/trace/TraceIO.h"
 #include "sampletrack/triage/Exporters.h"
 #include "sampletrack/triaged/Wire.h"
@@ -64,14 +65,12 @@ std::string jsonStringArray(const std::vector<std::string> &Items) {
 }
 
 /// The POST /v1/runs response body and the /v1/runs/{id}/classified body
-/// share one rendering: what this run's merge did to the warehouse. RunId
-/// needs no JSON escaping — the upload handler constrains it to
-/// [A-Za-z0-9._-].
+/// share one rendering: what this run's merge did to the warehouse.
 std::string renderRunRecord(const RunRecord &R) {
   std::ostringstream OS;
   OS << "{\n"
      << "  \"run\": " << R.Run << ",\n"
-     << "  \"runId\": \"" << R.RunId << "\",\n"
+     << "  \"runId\": \"" << support::jsonEscape(R.RunId) << "\",\n"
      << "  \"deduplicated\": " << (R.Deduplicated ? "true" : "false")
      << ",\n"
      << "  \"content\": \"" << wireContentName(R.Content) << "\",\n"

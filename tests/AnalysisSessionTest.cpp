@@ -5,8 +5,8 @@
 //
 // The engine-equivalence golden tests: a K-engine AnalysisSession fan-out
 // over a single trace traversal must be bit-identical — metrics, race
-// lists, sample sets — to K independent legacy rapid::Engine runs with the
-// same sampler seed. Plus coverage for the batched/shim ingestion paths,
+// lists, sample sets — to K standalone one-lane runs, each a fresh detector
+// fed a fresh Bernoulli stream with the same seed. Plus coverage for the batched/shim ingestion paths,
 // streamed sources, live hooks, truncation surfacing and the reporters.
 //
 //===----------------------------------------------------------------------===//
@@ -14,7 +14,6 @@
 #include "sampletrack/api/AnalysisSession.h"
 
 #include "sampletrack/api/Report.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/trace/SuiteGen.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/trace/TraceIO.h"
@@ -34,13 +33,17 @@ const EngineKind FanOutKinds[] = {
     EngineKind::Djit, EngineKind::FastTrack, EngineKind::SamplingNaive,
     EngineKind::SamplingU, EngineKind::SamplingO};
 
-/// Runs kind \p K standalone the legacy way (fresh detector, fresh
-/// Bernoulli stream) and returns (result, race list).
-std::pair<rapid::RunResult, std::vector<RaceReport>>
-legacyRun(const Trace &T, EngineKind K, double Rate, uint64_t Seed) {
+/// Runs kind \p K standalone (fresh detector, fresh Bernoulli stream) and
+/// returns (result, race list).
+std::pair<api::EngineRun, std::vector<RaceReport>>
+standaloneRun(const Trace &T, EngineKind K, double Rate, uint64_t Seed) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   BernoulliSampler S(Rate, Seed);
-  rapid::RunResult R = rapid::run(T, *D, S);
+  api::EngineRun R = api::AnalysisSession()
+      .addDetector(*D)
+      .withSampler(S)
+      .run(T)
+      .Engines.front();
   return {R, D->races()};
 }
 
@@ -63,28 +66,47 @@ TEST(AnalysisSession, FanOutMatchesLegacyEngineRunsBitForBit) {
 
   for (size_t I = 0; I < std::size(FanOutKinds); ++I) {
     SCOPED_TRACE(engineKindName(FanOutKinds[I]));
-    auto [Legacy, LegacyRaces] = legacyRun(T, FanOutKinds[I], Rate, Seed);
+    auto [Standalone, StandaloneRaces] =
+        standaloneRun(T, FanOutKinds[I], Rate, Seed);
     const api::EngineRun &Lane = Fan.Engines[I];
 
-    EXPECT_EQ(Lane.Engine, Legacy.Engine);
+    EXPECT_EQ(Lane.Engine, Standalone.Engine);
     // Bit-identical sample set: every lane shares one decision stream that
     // equals what a standalone Bernoulli sampler with the same seed draws.
-    EXPECT_EQ(Lane.SampleSize, Legacy.SampleSize);
-    EXPECT_EQ(Lane.Stats, Legacy.Stats);
-    EXPECT_EQ(Lane.NumRaces, Legacy.NumRaces);
-    EXPECT_EQ(Lane.NumRacyLocations, Legacy.NumRacyLocations);
-    EXPECT_EQ(Lane.Races, LegacyRaces);
-    EXPECT_EQ(Lane.RacesTruncated, Legacy.RacesTruncated);
+    EXPECT_EQ(Lane.SampleSize, Standalone.SampleSize);
+    EXPECT_EQ(Lane.Stats, Standalone.Stats);
+    EXPECT_EQ(Lane.NumRaces, Standalone.NumRaces);
+    EXPECT_EQ(Lane.NumRacyLocations, Standalone.NumRacyLocations);
+    EXPECT_EQ(Lane.Races, StandaloneRaces);
+    EXPECT_EQ(Lane.RacesTruncated, Standalone.RacesTruncated);
+
+    // Each lane's own bookkeeping agrees with itself.
+    EXPECT_EQ(Lane.Stats.Events, T.size());
+    EXPECT_EQ(Lane.Stats.SampledAccesses, Lane.SampleSize);
+    EXPECT_EQ(Lane.NumRaces, Lane.Stats.RacesDeclared);
+    EXPECT_GT(Lane.WallNanos, 0u);
   }
 
   // The fan-out actually found work to disagree about: the full engines
   // and sampling engines see different race universes.
   EXPECT_GT(Fan.Engines[1].NumRaces, 0u); // FT, full detection on samples.
+
+  // A Bernoulli rate of 1.0 degrades to the always sampler: S is every
+  // access, whatever the seed.
+  Cfg.SamplingRate = 1.0;
+  api::SessionResult Full = api::AnalysisSession(Cfg).run(T);
+  uint64_t Accesses = 0;
+  for (const Event &E : T)
+    Accesses += isAccess(E.Kind);
+  for (const api::EngineRun &Lane : Full.Engines) {
+    EXPECT_EQ(Lane.SamplerName, "always");
+    EXPECT_EQ(Lane.SampleSize, Accesses);
+  }
 }
 
 TEST(AnalysisSession, StreamedBinarySourceIsReadOnceAndMatchesInMemory) {
   Trace T = goldenTrace();
-  rapid::markTrace(T, 0.05, 11);
+  markTrace(T, 0.05, 11);
 
   api::SessionConfig Cfg;
   Cfg.Engines = {EngineKind::SamplingNaive, EngineKind::SamplingU,
@@ -114,7 +136,7 @@ TEST(AnalysisSession, StreamedBinarySourceIsReadOnceAndMatchesInMemory) {
 
 TEST(AnalysisSession, BatchedIngestionEqualsPerEventShim) {
   Trace T = goldenTrace();
-  rapid::markTrace(T, 0.1, 5);
+  markTrace(T, 0.1, 5);
 
   api::SessionConfig Cfg;
   Cfg.Engines = {EngineKind::SamplingO};
@@ -240,15 +262,11 @@ TEST(AnalysisSession, RaceSinkTruncationIsSurfaced) {
   EXPECT_NE(api::toCsv(R).find(",1,"), std::string::npos);
 
   // An uncapped run over the same trace: everything distinct, no
-  // truncation, and the legacy wrapper agrees.
+  // truncation.
   Cfg.TriageCapacity = 0;
   api::SessionResult Full = api::AnalysisSession(Cfg).run(T);
   EXPECT_EQ(Full.Engines.front().DistinctRaces, NumVars);
   EXPECT_FALSE(Full.Engines.front().RacesTruncated);
-  rapid::RunResult Legacy = rapid::runEngine(T, EngineKind::FastTrack,
-                                             /*Rate=*/1.0, /*Seed=*/0);
-  EXPECT_FALSE(Legacy.RacesTruncated);
-  EXPECT_EQ(Legacy.DistinctRaces, NumVars);
 
   // And stays off when nothing was dropped.
   api::SessionResult Small = api::AnalysisSession(Cfg).run(goldenTrace());

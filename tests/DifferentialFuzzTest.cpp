@@ -24,7 +24,6 @@
 #include "sampletrack/detectors/DetectorFactory.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
 #include "sampletrack/explore/Scheduler.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/sampling/PeriodSamplers.h"
 #include "sampletrack/support/simd/ClockKernels.h"
 #include "sampletrack/trace/TraceGen.h"
@@ -149,7 +148,7 @@ api::SessionResult stripPoolHits(api::SessionResult R) {
 std::vector<size_t> declared(const Trace &T, EngineKind K) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   MarkedSampler S;
-  rapid::run(T, *D, S);
+  api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
   std::vector<size_t> Out;
   for (const RaceReport &R : D->races())
     Out.push_back(R.EventIndex);
@@ -161,7 +160,7 @@ std::vector<size_t> declared(const Trace &T, EngineKind K) {
 triage::TriageSummary declaredSummary(const Trace &T, EngineKind K) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   MarkedSampler S;
-  rapid::run(T, *D, S);
+  api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
   return D->raceSink().summary();
 }
 
@@ -462,16 +461,20 @@ TEST(DifferentialFuzz, SessionFanOutMatchesStandaloneRunsLaneByLane) {
         S = std::make_unique<AlwaysSampler>();
       else
         S = std::make_unique<BernoulliSampler>(Rate, Seed);
-      rapid::RunResult Legacy = rapid::run(T, *D, *S);
+      api::EngineRun Standalone = api::AnalysisSession()
+          .addDetector(*D)
+          .withSampler(*S)
+          .run(T)
+          .Engines.front();
 
       const api::EngineRun &Lane = Fan.Engines[I];
-      EXPECT_EQ(Lane.Engine, Legacy.Engine);
-      EXPECT_EQ(Lane.SampleSize, Legacy.SampleSize);
-      EXPECT_EQ(Lane.Stats, Legacy.Stats);
-      EXPECT_EQ(Lane.NumRaces, Legacy.NumRaces);
-      EXPECT_EQ(Lane.NumRacyLocations, Legacy.NumRacyLocations);
+      EXPECT_EQ(Lane.Engine, Standalone.Engine);
+      EXPECT_EQ(Lane.SampleSize, Standalone.SampleSize);
+      EXPECT_EQ(Lane.Stats, Standalone.Stats);
+      EXPECT_EQ(Lane.NumRaces, Standalone.NumRaces);
+      EXPECT_EQ(Lane.NumRacyLocations, Standalone.NumRacyLocations);
       EXPECT_EQ(Lane.Races, D->races());
-      EXPECT_EQ(Lane.RacesTruncated, Legacy.RacesTruncated);
+      EXPECT_EQ(Lane.RacesTruncated, Standalone.RacesTruncated);
     }
   }
 }

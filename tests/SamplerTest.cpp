@@ -7,6 +7,8 @@
 
 #include "sampletrack/sampling/Sampler.h"
 
+#include "sampletrack/trace/TraceGen.h"
+
 #include <gtest/gtest.h>
 
 using namespace sampletrack;
@@ -14,6 +16,15 @@ using namespace sampletrack;
 namespace {
 
 Event access(VarId X = 0) { return Event(0, OpKind::Read, X); }
+
+Trace smallTrace(uint64_t Seed) {
+  GenConfig C;
+  C.NumThreads = 4;
+  C.NumLocks = 4;
+  C.NumEvents = 5000;
+  C.Seed = Seed;
+  return generateWorkload(C);
+}
 
 } // namespace
 
@@ -96,4 +107,32 @@ TEST(Zipf, SkewsTowardLowIndices) {
     ++UCounts[U.sample(Rng)];
   for (int C : UCounts)
     EXPECT_NEAR(C, 10000, 1500);
+}
+
+TEST(MarkTrace, IsDeterministicAndRateAccurate) {
+  Trace A = smallTrace(1), B = smallTrace(1);
+  markTrace(A, 0.1, 42);
+  markTrace(B, 0.1, 42);
+  ASSERT_EQ(A.countMarked(), B.countMarked());
+  for (size_t I = 0; I < A.size(); ++I)
+    ASSERT_EQ(A[I].Marked, B[I].Marked) << "event " << I;
+
+  size_t Accesses = A.countKind(OpKind::Read) + A.countKind(OpKind::Write);
+  double Observed = static_cast<double>(A.countMarked()) / Accesses;
+  EXPECT_NEAR(Observed, 0.1, 0.03);
+
+  Trace C = smallTrace(1);
+  markTrace(C, 0.1, 43);
+  bool Differs = false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (A[I].Marked != C[I].Marked)
+      Differs = true;
+  EXPECT_TRUE(Differs) << "different seeds must give different sample sets";
+}
+
+TEST(MarkTrace, FullRateMarksEveryAccess) {
+  Trace T = smallTrace(2);
+  markTrace(T, 1.0, 0);
+  for (const Event &E : T)
+    EXPECT_EQ(E.Marked, isAccess(E.Kind));
 }

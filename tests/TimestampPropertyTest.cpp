@@ -24,7 +24,6 @@
 #include "sampletrack/detectors/SamplingNaiveDetector.h"
 #include "sampletrack/detectors/SamplingOrderedListDetector.h"
 #include "sampletrack/detectors/SamplingUClockDetector.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/sampling/Sampler.h"
 #include "sampletrack/trace/TraceGen.h"
 
@@ -43,7 +42,7 @@ Trace randomMarkedTrace(uint64_t Seed, double Rate) {
   C.UnprotectedFraction = 0.05;
   C.Seed = Seed;
   Trace T = generateWorkload(C);
-  rapid::markTrace(T, Rate, Seed + 1);
+  markTrace(T, Rate, Seed + 1);
   return T;
 }
 

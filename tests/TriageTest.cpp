@@ -12,7 +12,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "sampletrack/api/Report.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/runtime/Runtime.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/triage/Exporters.h"
@@ -50,10 +49,27 @@ void *operator new[](std::size_t Size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer comes from
+// one): left to the runtime, their blocks would be freed through the
+// replaced delete below, a mismatch AddressSanitizer reports.
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size);
+}
+
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size);
+}
+
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 namespace {
 

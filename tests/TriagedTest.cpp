@@ -18,7 +18,8 @@
 
 #include "sampletrack/prof/ChromeTrace.h"
 #include "sampletrack/prof/Profiler.h"
-#include "sampletrack/support/Common.h"
+#include "sampletrack/support/Bytes.h"
+#include "sampletrack/support/FaultInjectionFs.h"
 #include "sampletrack/support/Json.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/triage/Exporters.h"
@@ -40,6 +41,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 
 using namespace sampletrack;
@@ -179,44 +181,105 @@ TEST(WireSummary, RejectsEveryPrefixAndEveryByteFlip) {
   EXPECT_FALSE(decodeSummary(Bytes + "x", Out));
 }
 
-TEST(WireSummary, RejectsSemanticCorruption) {
-  // A structurally valid document with inconsistent content must not pass:
-  // re-frame a tampered payload with a *correct* checksum.
-  auto Reframe = [](std::string Payload) {
-    std::string Frame = encodeSummary(triage::TriageSummary{});
-    std::string Header = Frame.substr(0, 4 + 4); // magic + format version.
-    // Recompute the checksum the same way the encoder does.
-    Fnv1a H;
-    H.bytes(Payload.data(), Payload.size());
-    uint64_t Sum = H.value();
-    for (int I = 0; I < 8; ++I)
-      Header.push_back(static_cast<char>((Sum >> (8 * I)) & 0xff));
-    return Header + Payload;
-  };
-  std::string Good = encodeSummary(runWith({{10, 2}}));
-  std::string Payload = Good.substr(16);
+namespace {
 
-  // Zero hit count on the entry (payload layout: 21-byte header + u64
-  // count at 21, then sig at 29, hits at 37).
-  std::string ZeroHits = Payload;
-  for (int I = 0; I < 8; ++I)
-    ZeroHits[37 + I] = 0;
+/// A checksummed "STSG" summary around \p Body, however inconsistent.
+std::string summaryAround(std::string_view Body) {
+  std::string Payload;
+  support::putU32(Payload, triage::RaceSignature::Version);
+  Payload += Body;
+  std::string Out = "STSG";
+  support::putU32(Out, 1);
+  support::putU64(Out, support::fnv1a(Payload));
+  return Out + Payload;
+}
+
+/// Opens a fresh journal on \p Fs, appends one checksummed record around
+/// \p Body by hand, and reopens: the open's verdict on that record.
+bool openJournalAround(std::string_view Body, std::string *Error) {
+  support::FaultInjectionFs Fs;
+  triage::TriageLog::Options O;
+  O.Fs = &Fs;
+  {
+    triage::TriageLog Fresh;
+    if (!Fresh.open("store", O, Error))
+      return false;
+  }
+  std::string Payload;
+  support::putU32(Payload, 1); // Run index.
+  support::putU8(Payload, static_cast<uint8_t>(WireContent::SignatureSummary));
+  support::putU16(Payload, 0); // No run id.
+  Payload += Body;
+  std::string Journal;
+  if (!Fs.readFile("store/journal-1.log", Journal, Error))
+    return false;
+  support::putU32(Journal, static_cast<uint32_t>(Payload.size()));
+  support::putU64(Journal, support::fnv1a(Payload));
+  Journal += Payload;
+  std::unique_ptr<support::WritableFile> W =
+      Fs.openWrite("store/journal-1.log", /*Append=*/false);
+  if (!W || !support::writeAll(*W, Journal) || !W->close())
+    return false;
+  triage::TriageLog L;
+  bool Opened = L.open("store", O, Error);
+  EXPECT_TRUE(Opened || L.journalRuns().empty()) << "a rejected open loaded";
+  return Opened;
+}
+
+} // namespace
+
+TEST(SummaryBody, SummaryAndJournalRejectTheSameSemanticCorruption) {
+  // Structurally valid, correctly checksummed documents with inconsistent
+  // content must not pass, whichever format carries the body.
+  // Body layout: declared @0, dropped @8, capped @16, count @17, then
+  // 37-byte entries from 25: sig +0, hits +8, exemplar +16 (kind +36).
+  std::string Good;
+  triage::encodeSummaryBody(Good, runWith({{10, 2}, {20, 1}}));
+  auto SetU64 = [](std::string &B, size_t At, uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      B[At + I] = static_cast<char>((V >> (8 * I)) & 0xff);
+  };
+  struct Case {
+    const char *Name;
+    std::function<void(std::string &)> Corrupt;
+    const char *Expected;
+  };
+  const Case Cases[] = {
+      {"zero hits", [&](std::string &B) { SetU64(B, 25 + 8, 0); },
+       "zero hit count"},
+      {"op kind past the enum", [](std::string &B) { B[25 + 36] = 100; },
+       "bad op kind"},
+      {"capped without drops", [](std::string &B) { B[16] = 1; },
+       "capped flag inconsistent"},
+      {"capped flag not 0/1", [](std::string &B) { B[16] = 2; },
+       "bad capped flag"},
+      {"duplicate signature",
+       [](std::string &B) { B.replace(25 + 37, 8, B, 25, 8); },
+       "duplicate signature"},
+      {"declared below hits", [&](std::string &B) { SetU64(B, 0, 2); },
+       "declaration counts inconsistent"},
+      {"count past the entries", [&](std::string &B) { SetU64(B, 17, 3); },
+       "truncated summary entry"},
+      {"trailing garbage", [](std::string &B) { B += 'x'; },
+       "trailing garbage"},
+  };
+
   triage::TriageSummary Out;
   std::string Err;
-  EXPECT_FALSE(decodeSummary(Reframe(ZeroHits), Out, &Err));
-  EXPECT_NE(Err.find("zero hit count"), std::string::npos) << Err;
+  ASSERT_TRUE(decodeSummary(summaryAround(Good), Out, &Err)) << Err;
+  ASSERT_TRUE(openJournalAround(Good, &Err)) << Err;
 
-  // An op kind past the enum's end (last payload byte).
-  std::string BadKind = Payload;
-  BadKind.back() = 100;
-  EXPECT_FALSE(decodeSummary(Reframe(BadKind), Out, &Err));
-  EXPECT_NE(Err.find("bad op kind"), std::string::npos) << Err;
-
-  // A capped flag with no dropped declarations is inconsistent.
-  std::string BadCapped = Payload;
-  BadCapped[20] = 1; // capped byte (after sigVersion + 2 u64 counters).
-  EXPECT_FALSE(decodeSummary(Reframe(BadCapped), Out, &Err));
-  EXPECT_NE(Err.find("capped flag"), std::string::npos) << Err;
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    std::string Bad = Good;
+    C.Corrupt(Bad);
+    Err.clear();
+    EXPECT_FALSE(decodeSummary(summaryAround(Bad), Out, &Err));
+    EXPECT_NE(Err.find(C.Expected), std::string::npos) << Err;
+    Err.clear();
+    EXPECT_FALSE(openJournalAround(Bad, &Err));
+    EXPECT_NE(Err.find(C.Expected), std::string::npos) << Err;
+  }
 }
 
 TEST(WireSummary, FileRoundTripAndMissingFile) {
@@ -927,6 +990,43 @@ TEST(TriagedServer, ReloadsItsOwnStoreAcrossRestarts) {
     EXPECT_EQ(S.snapshotStore().runCount(), 2u);
     S.stop();
   }
+  std::filesystem::remove_all(StorePath);
+}
+
+TEST(TriagedServer, ReplayedRunIdIsJsonEscaped) {
+  // The upload handler restricts run ids to [A-Za-z0-9._-], but the journal
+  // accepts any id up to 256 bytes and the server replays journal ids into
+  // its per-run answers, which must stay valid JSON.
+  std::string StorePath = tmpPath("escaped_run_id_store");
+  std::filesystem::remove_all(StorePath);
+  const std::string RunId = "a\"b\n";
+  std::string Err;
+  {
+    triage::TriageLog Log;
+    ASSERT_TRUE(Log.open(StorePath, triage::TriageLog::Options{}, &Err))
+        << Err;
+    triage::TriageStore::MergeResult M;
+    ASSERT_TRUE(Log.appendRun(runWith({{10, 2}}), RunId,
+                              static_cast<uint8_t>(
+                                  WireContent::SignatureSummary),
+                              M, &Err))
+        << Err;
+  }
+  ServerConfig Cfg;
+  Cfg.StorePath = StorePath;
+  Server S(Cfg);
+  ASSERT_TRUE(S.start(&Err)) << Err;
+  Client::Response Resp;
+  ASSERT_TRUE(Client("127.0.0.1", S.port())
+                  .get("/v1/runs/1/classified", Resp, &Err))
+      << Err;
+  EXPECT_EQ(Resp.Status, 200);
+  support::JsonValue Doc;
+  ASSERT_TRUE(support::JsonValue::parse(Resp.Body, Doc, &Err))
+      << Err << "\n" << Resp.Body;
+  EXPECT_EQ(Doc.getString("runId"), RunId);
+  EXPECT_EQ(Doc.getNumber("run"), 1);
+  S.stop();
   std::filesystem::remove_all(StorePath);
 }
 
