@@ -10,9 +10,9 @@
 // malformed-upload rejection with the store untouched, the single-writer
 // sequence-ordering determinism contract (N concurrent uploaders produce a
 // store byte-identical to sequential local ingestion), a byte-pinned
-// /v1/sarif against the exporter golden, suppressions round-tripping
-// through the file loader, drain semantics, and the crash-safe atomic
-// store save.
+// /v1/sarif against the exporter golden, byte-pinned run-record bodies and
+// /v1/stats key layout, suppressions round-tripping through the file
+// loader, drain semantics, and the crash-safe atomic store save.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +37,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -879,6 +880,88 @@ TEST(TriagedServer, GoldenSarifOverHttpIsBytePinned) {
   EXPECT_EQ(Resp.Body, Expected);
   S.stop();
   std::remove(SuppPath.c_str());
+}
+
+TEST(TriagedServer, GoldenRunRecordAndStatsLayoutArePinned) {
+  // One connection worker: a request's latency and span are recorded
+  // before the worker takes the next connection, so /v1/stats sees every
+  // earlier request and its key set is fixed.
+  ServerConfig Cfg;
+  Cfg.NumWorkers = 1;
+  Server S(Cfg);
+  std::string Err;
+  ASSERT_TRUE(S.start(&Err)) << Err;
+  Client C("127.0.0.1", S.port());
+
+  UploadOutcome Up;
+  ASSERT_TRUE(C.uploadSummary(runWith({{10, 5}, {20, 2}}), Up, &Err)) << Err;
+  ASSERT_TRUE(C.uploadSummary(runWith({{10, 1}}), Up, &Err)) << Err;
+  // Run 3 under a fixed run id: var 30 is new, var 20 regressed.
+  Client::Response Resp;
+  ASSERT_TRUE(C.post("/v1/runs", "application/x-sampletrack-upload",
+                     frame(WireContent::SignatureSummary,
+                           encodeSummary(runWith({{20, 1}, {30, 3}}))),
+                     Resp, &Err, /*Sequence=*/0, "golden-run.3"))
+      << Err;
+  ASSERT_EQ(Resp.Status, 200);
+  const std::string Record = R"json({
+  "run": 3,
+  "runId": "golden-run.3",
+  "deduplicated": false,
+  "content": "signature-summary",
+  "declared": 4,
+  "distinct": 2,
+  "new": 1,
+  "known": 0,
+  "regressed": 1,
+  "suppressed": 0,
+  "newRaces": ["97a5a1b724a8d374"],
+  "regressedRaces": ["010491fb522c0070"]
+}
+)json";
+  EXPECT_EQ(Resp.Body, Record);
+
+  ASSERT_TRUE(C.get("/v1/runs/3/classified", Resp, &Err)) << Err;
+  ASSERT_EQ(Resp.Status, 200);
+  // The after-the-fact answer is the upload's answer.
+  EXPECT_EQ(Resp.Body, Record);
+
+  ASSERT_TRUE(C.get("/healthz", Resp, &Err)) << Err;
+  ASSERT_TRUE(C.get("/v1/stats", Resp, &Err)) << Err;
+  ASSERT_EQ(Resp.Status, 200);
+  // Counter values, quantiles and nanos vary; the keys, their order and
+  // the layout do not. Every digit run becomes '#'.
+  std::string Masked;
+  for (char Ch : Resp.Body)
+    if (!std::isdigit(static_cast<unsigned char>(Ch)))
+      Masked += Ch;
+    else if (Masked.empty() || Masked.back() != '#')
+      Masked += '#';
+  EXPECT_EQ(Masked, R"json({
+  "store": {"runs": #, "distinctSignatures": #, "generation": #, "baseBytes": #, "journalBytes": #},
+  "durability": {"bytesAppended": #, "bytesCompacted": #, "compactions": #, "poisoned": false},
+  "nextSequence": #,
+  "draining": false,
+  "connectionsAccepted": #,
+  "connectionsShed": #,
+  "requestsServed": #,
+  "requestTimeouts": #,
+  "uploadsAccepted": #,
+  "uploadsRejected": #,
+  "uploadsDeduplicated": #,
+  "traceUploads": #,
+  "summaryUploads": #,
+  "bytesIngested": #,
+  "eventsAnalyzed": #,
+  "racesDeclared": #,
+  "badRequests": #,
+  "notFound": #,
+  "sequenceTimeouts": #,
+  "latency": {"/healthz": {"count": #, "p#Micros": #, "p#Micros": #, "maxMicros": #}, "/v#/runs": {"count": #, "p#Micros": #, "p#Micros": #, "maxMicros": #}, "/v#/runs/{id}/classified": {"count": #, "p#Micros": #, "p#Micros": #, "maxMicros": #}},
+  "profile": [{"path": "request", "count": #, "inclusiveNanos": #, "exclusiveNanos": #}, {"path": "request//healthz", "count": #, "inclusiveNanos": #, "exclusiveNanos": #}, {"path": "request//v#/runs", "count": #, "inclusiveNanos": #, "exclusiveNanos": #}, {"path": "request//v#/runs/analyze", "count": #, "inclusiveNanos": #, "exclusiveNanos": #}, {"path": "request//v#/runs/decode", "count": #, "inclusiveNanos": #, "exclusiveNanos": #}, {"path": "request//v#/runs/merge", "count": #, "inclusiveNanos": #, "exclusiveNanos": #}, {"path": "request//v#/runs/parse", "count": #, "inclusiveNanos": #, "exclusiveNanos": #}, {"path": "request//v#/runs/{id}/classified", "count": #, "inclusiveNanos": #, "exclusiveNanos": #}]
+}
+)json");
+  S.stop();
 }
 
 TEST(TriagedServer, SuppressionsEndpointRoundTripsThroughTheLoader) {
