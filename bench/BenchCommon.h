@@ -104,79 +104,68 @@ struct Options {
 ///      "releasesTotal": .., "racesDeclared": ..}, ...]}
 class JsonReport {
 public:
-  JsonReport(std::string Bench, const Options &O)
-      : Bench(std::move(Bench)), Scale(O.Scale), Seed(O.Seed) {}
+  using JsonWriter = sampletrack::support::JsonWriter;
+
+  JsonReport(const std::string &Bench, const Options &O) {
+    W.object(JsonWriter::Inline)
+        .fields({{"bench", Bench},
+                 {"scale", JsonWriter::General{O.Scale}},
+                 {"seed", O.Seed}})
+        .key("rows")
+        .array();
+  }
 
   /// Records one measurement. \p Series names the workload/config axis
   /// (trace name, "workers=4", ...); \p Rate is the sampling rate (1.0 for
-  /// full analysis, 0 when not applicable).
-  /// \p Extra is an optional raw JSON fragment appended to the row (e.g.
-  /// "\"racyLocations\": 5, \"distinctRaces\": 3" — fig6a's dedup axis).
+  /// full analysis, 0 when not applicable). \p Extras are the bench's own
+  /// columns after the common ones (e.g. fig6a's dedup axis:
+  /// racyLocations, distinctRaces).
   void addRow(const std::string &Series, const std::string &Engine,
               double Rate, uint64_t Events, uint64_t WallNanos,
-              const sampletrack::Metrics &M, const std::string &Extra = "") {
+              const sampletrack::Metrics &M,
+              std::initializer_list<JsonWriter::Member> Extras = {}) {
     double NsPerEvent =
         Events ? static_cast<double>(WallNanos) / static_cast<double>(Events)
                : 0.0;
-    char RateS[64], NsS[64];
-    std::snprintf(RateS, sizeof(RateS), "%g", Rate);
-    std::snprintf(NsS, sizeof(NsS), "%.2f", NsPerEvent);
-    std::string Row = "    {\"series\": \"" + Series + "\", \"engine\": \"" +
-                      Engine + "\", \"rate\": " + RateS +
-                      ", \"events\": " + std::to_string(Events) +
-                      ", \"wallNanos\": " + std::to_string(WallNanos);
-    Row += std::string(", \"nsPerEvent\": ") + NsS +
-           ", \"deepCopies\": " + std::to_string(M.DeepCopies) +
-           ", \"cowBreaks\": " + std::to_string(M.CowBreaks) +
-           ", \"poolHits\": " + std::to_string(M.PoolHits) +
-           ", \"shallowCopies\": " + std::to_string(M.ShallowCopies) +
-           ", \"releasesTotal\": " + std::to_string(M.ReleasesTotal) +
-           ", \"racesDeclared\": " + std::to_string(M.RacesDeclared);
-    if (!Extra.empty())
-      Row += ", " + Extra;
-    Row += "}";
-    Rows.push_back(std::move(Row));
+    W.object(JsonWriter::Inline)
+        .fields({{"series", Series}, {"engine", Engine},
+                 {"rate", JsonWriter::General{Rate}}, {"events", Events},
+                 {"wallNanos", WallNanos},
+                 {"nsPerEvent", JsonWriter::Fixed{NsPerEvent, 2}},
+                 {"deepCopies", M.DeepCopies}, {"cowBreaks", M.CowBreaks},
+                 {"poolHits", M.PoolHits}, {"shallowCopies", M.ShallowCopies},
+                 {"releasesTotal", M.ReleasesTotal},
+                 {"racesDeclared", M.RacesDeclared}})
+        .fields(Extras)
+        .end();
   }
 
   /// Attaches a self-profile summary: the document gains a top-level
   /// "profile" key (flat span array, see prof::toJsonArray). The perf gate
   /// skips it — span nanos are not gated metrics — so baselines may carry
   /// it freely.
-  void attachProfile(const sampletrack::prof::Report &R) {
-    Profile = sampletrack::prof::toJsonArray(R);
-  }
+  void attachProfile(const sampletrack::prof::Report &R) { Profile = R; }
 
   /// Writes the document if --json was passed; returns false only on I/O
   /// failure (missing --json is not an error).
   bool writeIfRequested(const Options &O) const {
     if (O.JsonPath.empty())
       return true;
-    std::FILE *F = std::fopen(O.JsonPath.c_str(), "w");
-    if (!F) {
+    JsonWriter Doc = W; // The rows so far.
+    Doc.end();
+    if (!Profile.empty())
+      sampletrack::prof::toJsonArray(Doc.key("profile"), Profile);
+    if (!sampletrack::api::writeFile(O.JsonPath, Doc.end().take())) {
       std::fprintf(stderr, "warning: cannot write %s\n", O.JsonPath.c_str());
       return false;
     }
-    std::fprintf(F, "{\"bench\": \"%s\", \"scale\": %g, \"seed\": %llu, "
-                    "\"rows\": [\n",
-                 Bench.c_str(), Scale, static_cast<unsigned long long>(Seed));
-    for (size_t I = 0; I < Rows.size(); ++I)
-      std::fprintf(F, "%s%s\n", Rows[I].c_str(),
-                   I + 1 < Rows.size() ? "," : "");
-    std::fprintf(F, "]");
-    if (!Profile.empty())
-      std::fprintf(F, ",\n\"profile\": %s", Profile.c_str());
-    std::fprintf(F, "}\n");
-    std::fclose(F);
     std::printf("\n(json written to %s)\n", O.JsonPath.c_str());
     return true;
   }
 
 private:
-  std::string Bench;
-  double Scale;
-  uint64_t Seed;
-  std::vector<std::string> Rows;
-  std::string Profile;
+  JsonWriter W;
+  sampletrack::prof::Report Profile;
 };
 
 /// Runs engine \p K over a pre-marked trace \p T, replaying the Marked bits

@@ -81,8 +81,7 @@ int main(int argc, char **argv) {
                 Table::fmt(Events / (EnumNanos / 1e3))});
     Metrics None;
     Json.addRow(std::string("enumerate-") + exploreModeName(M), "none", 0,
-                Events, EnumNanos, None,
-                "\"schedules\": " + std::to_string(Emitted));
+                Events, EnumNanos, None, {{"schedules", Emitted}});
 
     // Phase 2: the full exploration pipeline (session + oracle + gate).
     api::SessionConfig Cfg;
@@ -107,9 +106,8 @@ int main(int argc, char **argv) {
                 Table::fmt(R.EventsAnalyzed / (RunNanos / 1e3))});
     Json.addRow(std::string("explore-") + exploreModeName(M), "Djit+FT+SO",
                 Cfg.SamplingRate, R.EventsAnalyzed, RunNanos, None,
-                "\"schedules\": " + std::to_string(R.SchedulesRun) +
-                    ", \"racySchedules\": " +
-                    std::to_string(R.SchedulesWithOracleRaces));
+                {{"schedules", R.SchedulesRun},
+                 {"racySchedules", R.SchedulesWithOracleRaces}});
   }
 
   finish(Out, O);

@@ -302,13 +302,12 @@ int main(int argc, char **argv) {
                 "session)%s\n",
                 PerScope, OverheadNs, Pct,
                 TsanBuild ? " [TSan build: threshold not enforced]" : "");
-    char Extra[160];
-    std::snprintf(Extra, sizeof(Extra),
-                  "\"overheadNsPerEvent\": %.5f, \"overheadPct\": %.4f",
-                  OverheadNs, Pct);
     Metrics None;
     Json.addRow("prof-overhead", "disabled-scope", 0, Iters, ScopeNanos,
-                None, Extra);
+                None,
+                {{"overheadNsPerEvent",
+                  support::JsonWriter::Fixed{OverheadNs, 5}},
+                 {"overheadPct", support::JsonWriter::Fixed{Pct, 4}}});
     if (!TsanBuild && Pct > 1.0) {
       std::fprintf(stderr, "FAIL: disabled-profiler overhead %.3f%% exceeds "
                            "the 1%% budget\n",

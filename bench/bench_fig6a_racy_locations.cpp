@@ -79,11 +79,6 @@ int main(int argc, char **argv) {
   std::vector<double> Sums(6, 0);
   JsonReport Json("fig6a", O);
 
-  auto DedupExtra = [](const RunStats &R) {
-    return "\"racyLocations\": " + std::to_string(R.RacyLocations) +
-           ", \"distinctRaces\": " + std::to_string(R.DistinctRaces);
-  };
-
   for (const BenchmarkSpec &Spec : Specs) {
     RunConfig C = Base;
     C.Rt = Analysis.runtimeConfig(rt::Mode::FT);
@@ -94,7 +89,9 @@ int main(int argc, char **argv) {
                                       static_cast<double>(Ft.Races))
                  : 0.0;
     Json.addRow(Spec.Name, "FT", 1.0, Ft.Stats.Events, Ft.WallNanos,
-                Ft.Stats, DedupExtra(Ft));
+                Ft.Stats,
+                {{"racyLocations", Ft.RacyLocations},
+                 {"distinctRaces", Ft.DistinctRaces}});
 
     std::vector<std::string> Row = {Spec.Name,
                                     std::to_string(Ft.RacyLocations),
@@ -107,7 +104,9 @@ int main(int argc, char **argv) {
       Sums[I] += Ratio;
       Row.push_back(Table::fmt(Ratio, 2));
       Json.addRow(Spec.Name, Configs[I].Label, Configs[I].Rate,
-                  R.Stats.Events, R.WallNanos, R.Stats, DedupExtra(R));
+                  R.Stats.Events, R.WallNanos, R.Stats,
+                  {{"racyLocations", R.RacyLocations},
+                   {"distinctRaces", R.DistinctRaces}});
     }
     Out.addRow(Row);
   }

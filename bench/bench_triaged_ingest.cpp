@@ -184,26 +184,21 @@ int main(int argc, char **argv) {
                   static_cast<unsigned long long>(FinalStoreBytes));
     }
     Metrics None;
-    char Extra[360];
-    std::snprintf(Extra, sizeof(Extra),
-                  "\"uploads\": %zu, \"clients\": %zu, \"bytes\": %llu, "
-                  "\"uploadsPerSec\": %.1f, \"bytesPersisted\": %llu, "
-                  "\"bytesPerUpload\": %llu, \"compactions\": %llu, "
-                  "\"wholeFileCounterfactualBytes\": %llu",
-                  S.Bodies->size(), Clients,
-                  static_cast<unsigned long long>(Bytes), UploadsPerSec,
-                  static_cast<unsigned long long>(St.BytesAppended +
-                                                  St.BytesCompacted),
-                  static_cast<unsigned long long>(
-                      (St.BytesAppended + St.BytesCompacted) /
-                      S.Bodies->size()),
-                  static_cast<unsigned long long>(St.Compactions),
-                  static_cast<unsigned long long>(FinalStoreBytes *
-                                                  S.Bodies->size()));
     Json.addRow(S.Name, "FT+SO", 1.0,
                 S.Content == triaged::WireContent::BinaryTrace ? CorpusEvents
                                                                : 0,
-                Nanos, None, Extra);
+                Nanos, None,
+                {{"uploads", S.Bodies->size()},
+                 {"clients", Clients},
+                 {"bytes", Bytes},
+                 {"uploadsPerSec",
+                  support::JsonWriter::Fixed{UploadsPerSec, 1}},
+                 {"bytesPersisted", St.BytesAppended + St.BytesCompacted},
+                 {"bytesPerUpload",
+                  (St.BytesAppended + St.BytesCompacted) / S.Bodies->size()},
+                 {"compactions", St.Compactions},
+                 {"wholeFileCounterfactualBytes",
+                  FinalStoreBytes * S.Bodies->size()}});
   }
 
   finish(Out, O);

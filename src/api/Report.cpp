@@ -16,88 +16,55 @@
 using namespace sampletrack;
 using namespace sampletrack::api;
 
-namespace {
-
-void emitMetrics(std::ostringstream &OS, const Metrics &M,
-                 const char *Indent) {
-  OS << Indent << "\"events\": " << M.Events << ",\n"
-     << Indent << "\"accesses\": " << M.Accesses << ",\n"
-     << Indent << "\"sampledAccesses\": " << M.SampledAccesses << ",\n"
-     << Indent << "\"acquiresTotal\": " << M.AcquiresTotal << ",\n"
-     << Indent << "\"acquiresSkipped\": " << M.AcquiresSkipped << ",\n"
-     << Indent << "\"acquiresProcessed\": " << M.AcquiresProcessed << ",\n"
-     << Indent << "\"releasesTotal\": " << M.ReleasesTotal << ",\n"
-     << Indent << "\"releasesSkipped\": " << M.ReleasesSkipped << ",\n"
-     << Indent << "\"releasesProcessed\": " << M.ReleasesProcessed << ",\n"
-     << Indent << "\"shallowCopies\": " << M.ShallowCopies << ",\n"
-     << Indent << "\"deepCopies\": " << M.DeepCopies << ",\n"
-     << Indent << "\"poolHits\": " << M.PoolHits << ",\n"
-     << Indent << "\"cowBreaks\": " << M.CowBreaks << ",\n"
-     << Indent << "\"entriesTraversed\": " << M.EntriesTraversed << ",\n"
-     << Indent << "\"traversalOpportunities\": " << M.TraversalOpportunities
-     << ",\n"
-     << Indent << "\"fullClockOps\": " << M.FullClockOps << ",\n"
-     << Indent << "\"raceChecks\": " << M.RaceChecks << ",\n"
-     << Indent << "\"racesDeclared\": " << M.RacesDeclared << "\n";
-}
-
-} // namespace
-
 std::string sampletrack::api::toJson(const SessionResult &R,
                                      size_t MaxRaces) {
-  std::ostringstream OS;
-  OS << "{\n"
-     << "  \"eventsProcessed\": " << R.EventsProcessed << ",\n"
-     << "  \"numThreads\": " << R.NumThreads << ",\n"
-     << "  \"numWorkers\": " << R.NumWorkers << ",\n"
-     << "  \"shards\": " << R.Shards << ",\n"
-     << "  \"wallNanos\": " << R.WallNanos << ",\n"
-     << "  \"ingestNanos\": " << R.IngestNanos << ",\n"
-     << "  \"engines\": [\n";
-  for (size_t I = 0; I < R.Engines.size(); ++I) {
-    const EngineRun &E = R.Engines[I];
-    OS << "    {\n"
-       << "      \"engine\": \"" << support::jsonEscape(E.Engine) << "\",\n"
-       << "      \"sampler\": \"" << support::jsonEscape(E.SamplerName) << "\",\n"
-       << "      \"races\": " << E.NumRaces << ",\n"
-       << "      \"distinctRaces\": " << E.DistinctRaces << ",\n"
-       << "      \"racyLocations\": " << E.NumRacyLocations << ",\n"
-       << "      \"sampleSize\": " << E.SampleSize << ",\n"
-       << "      \"shards\": " << E.Shards << ",\n"
-       << "      \"wallNanos\": " << E.WallNanos << ",\n"
-       << "      \"racesTruncated\": " << (E.RacesTruncated ? "true" : "false")
-       << ",\n";
+  support::JsonWriter W;
+  W.object().fields({{"eventsProcessed", R.EventsProcessed},
+                     {"numThreads", R.NumThreads},
+                     {"numWorkers", R.NumWorkers}, {"shards", R.Shards},
+                     {"wallNanos", R.WallNanos},
+                     {"ingestNanos", R.IngestNanos}});
+  W.key("engines").array();
+  for (const EngineRun &E : R.Engines) {
+    W.object().fields({{"engine", E.Engine}, {"sampler", E.SamplerName},
+                       {"races", E.NumRaces},
+                       {"distinctRaces", E.DistinctRaces},
+                       {"racyLocations", E.NumRacyLocations},
+                       {"sampleSize", E.SampleSize}, {"shards", E.Shards},
+                       {"wallNanos", E.WallNanos},
+                       {"racesTruncated", E.RacesTruncated}});
     if (MaxRaces) {
-      OS << "      \"raceReports\": [\n";
-      size_t N = std::min(MaxRaces, E.Races.size());
-      for (size_t J = 0; J < N; ++J) {
+      W.key("raceReports").array();
+      for (size_t J = 0; J < std::min(MaxRaces, E.Races.size()); ++J) {
         const RaceReport &Race = E.Races[J];
-        OS << "        {\"event\": " << Race.EventIndex
-           << ", \"thread\": " << Race.Tid << ", \"var\": " << Race.Var
-           << ", \"op\": \"" << opKindName(Race.Kind) << "\"}"
-           << (J + 1 < N ? "," : "") << "\n";
+        W.object(support::JsonWriter::Inline)
+            .fields({{"event", Race.EventIndex}, {"thread", Race.Tid},
+                     {"var", Race.Var}, {"op", opKindName(Race.Kind)}})
+            .end();
       }
-      OS << "      ],\n";
+      W.end();
     }
-    OS << "      \"metrics\": {\n";
-    emitMetrics(OS, E.Stats, "        ");
-    OS << "      }\n"
-       << "    }" << (I + 1 < R.Engines.size() ? "," : "") << "\n";
+    W.key("metrics").object();
+    for (const MetricsField &F : MetricsFields)
+      W.field(F.Name, E.Stats.*F.Member);
+    W.end().end();
   }
-  OS << "  ],\n";
+  W.end();
 
   // The run's warehouse view: what the lanes' declarations dedup to.
   const triage::TriageSummary &T = R.Triage;
-  OS << "  \"triage\": {\n"
-     << "    \"distinctSignatures\": " << T.distinct() << ",\n"
-     << "    \"racesDeclared\": " << T.RacesDeclared << ",\n"
-     << "    \"droppedDeclarations\": " << T.DroppedDeclarations << ",\n"
-     << "    \"capped\": " << (T.Capped ? "true" : "false") << "\n"
-     << "  },\n"
-     // The self-profile (empty array unless ProfilingEnabled): one object
-     // per span in pre-order, path-flattened.
-     << "  \"profile\": " << prof::toJsonArray(R.Profile) << "\n}\n";
-  return OS.str();
+  W.key("triage")
+      .object()
+      .fields({{"distinctSignatures", T.distinct()},
+               {"racesDeclared", T.RacesDeclared},
+               {"droppedDeclarations", T.DroppedDeclarations},
+               {"capped", T.Capped}})
+      .end();
+  // The self-profile (empty array unless ProfilingEnabled): one object per
+  // span in pre-order, path-flattened.
+  prof::toJsonArray(W.key("profile"), R.Profile);
+  W.end();
+  return W.take();
 }
 
 std::string sampletrack::api::toCsv(const SessionResult &R) {

@@ -7,20 +7,14 @@
 
 #include "sampletrack/explore/Coverage.h"
 
+#include "sampletrack/support/Json.h"
+
 #include <cstdio>
-#include <sstream>
 
 using namespace sampletrack;
 using namespace sampletrack::explore;
 
 namespace {
-
-/// Fixed-precision double rendering so equal rates are equal bytes.
-std::string rate(double V) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.4f", V);
-  return Buf;
-}
 
 std::string hex16(uint64_t V) {
   char Buf[20];
@@ -32,43 +26,40 @@ std::string hex16(uint64_t V) {
 } // namespace
 
 std::string sampletrack::explore::toJson(const ExploreReport &R) {
-  std::ostringstream OS;
-  OS << "{\n"
-     << "  \"mode\": \"" << R.Mode << "\",\n"
-     << "  \"seed\": " << R.Seed << ",\n"
-     << "  \"schedulesRequested\": " << R.SchedulesRequested << ",\n"
-     << "  \"schedulesRun\": " << R.SchedulesRun << ",\n"
-     << "  \"deadlockedSchedules\": " << R.DeadlockedSchedules << ",\n"
-     << "  \"duplicateSchedules\": " << R.DuplicateSchedules << ",\n"
-     << "  \"eventsAnalyzed\": " << R.EventsAnalyzed << ",\n"
-     << "  \"oracleDistinctSignatures\": " << R.OracleDistinctSignatures
-     << ",\n"
-     << "  \"oracleFullDistinctSignatures\": "
-     << R.OracleFullDistinctSignatures << ",\n"
-     << "  \"schedulesWithOracleRaces\": " << R.SchedulesWithOracleRaces
-     << ",\n"
-     << "  \"allAgreed\": " << (R.AllAgreed ? "true" : "false") << ",\n"
-     << "  \"engines\": [\n";
-  for (size_t I = 0; I < R.Engines.size(); ++I) {
-    const EngineCoverage &E = R.Engines[I];
-    OS << "    {\"engine\": \"" << E.Engine << "\", \"schedulesChecked\": "
-       << E.SchedulesChecked << ", \"schedulesAgreed\": " << E.SchedulesAgreed
-       << ", \"oracleRacySchedules\": " << E.OracleRacySchedules
-       << ", \"detectedRacySchedules\": " << E.DetectedRacySchedules
-       << ", \"distinctSignatures\": " << E.DistinctSignatures
-       << ", \"detectionRate\": " << rate(E.DetectionRate) << "}"
-       << (I + 1 < R.Engines.size() ? "," : "") << "\n";
-  }
-  OS << "  ],\n"
-     << "  \"schedules\": [\n";
-  for (size_t I = 0; I < R.Schedules.size(); ++I) {
-    const ScheduleOutcome &S = R.Schedules[I];
-    OS << "    {\"hash\": \"" << hex16(S.Hash) << "\", \"events\": "
-       << S.Events << ", \"oracleSignatures\": " << S.OracleSignatures
-       << ", \"oracleFullSignatures\": " << S.OracleFullSignatures
-       << ", \"agreed\": " << (S.Agreed ? "true" : "false") << "}"
-       << (I + 1 < R.Schedules.size() ? "," : "") << "\n";
-  }
-  OS << "  ]\n}\n";
-  return OS.str();
+  constexpr auto Inline = support::JsonWriter::Inline;
+  support::JsonWriter W;
+  W.object().fields(
+      {{"mode", R.Mode}, {"seed", R.Seed},
+       {"schedulesRequested", R.SchedulesRequested},
+       {"schedulesRun", R.SchedulesRun},
+       {"deadlockedSchedules", R.DeadlockedSchedules},
+       {"duplicateSchedules", R.DuplicateSchedules},
+       {"eventsAnalyzed", R.EventsAnalyzed},
+       {"oracleDistinctSignatures", R.OracleDistinctSignatures},
+       {"oracleFullDistinctSignatures", R.OracleFullDistinctSignatures},
+       {"schedulesWithOracleRaces", R.SchedulesWithOracleRaces},
+       {"allAgreed", R.AllAgreed}});
+  W.key("engines").array();
+  for (const EngineCoverage &E : R.Engines)
+    W.object(Inline)
+        .fields({{"engine", E.Engine},
+                 {"schedulesChecked", E.SchedulesChecked},
+                 {"schedulesAgreed", E.SchedulesAgreed},
+                 {"oracleRacySchedules", E.OracleRacySchedules},
+                 {"detectedRacySchedules", E.DetectedRacySchedules},
+                 {"distinctSignatures", E.DistinctSignatures},
+                 // Fixed precision, so equal rates are equal bytes.
+                 {"detectionRate", support::JsonWriter::Fixed{
+                                       E.DetectionRate, 4}}})
+        .end();
+  W.end().key("schedules").array();
+  for (const ScheduleOutcome &S : R.Schedules)
+    W.object(Inline)
+        .fields({{"hash", hex16(S.Hash)}, {"events", S.Events},
+                 {"oracleSignatures", S.OracleSignatures},
+                 {"oracleFullSignatures", S.OracleFullSignatures},
+                 {"agreed", S.Agreed}})
+        .end();
+  W.end().end();
+  return W.take();
 }

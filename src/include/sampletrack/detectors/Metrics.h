@@ -17,6 +17,7 @@
 #define SAMPLETRACK_DETECTORS_METRICS_H
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace sampletrack {
@@ -84,37 +85,54 @@ struct Metrics {
   /// Multi-line human-readable dump.
   std::string str() const;
 
-  /// Field-wise accumulation. Sharded sessions sum the per-shard counters
-  /// into the lane's reported Metrics; the sharded dispatch contract
-  /// (access work partitioned by VarId, replicated sync work attributed to
-  /// shard 0 only) is what makes the sum land field-for-field on the
-  /// unsharded run's numbers.
-  Metrics &operator+=(const Metrics &O) {
-    Events += O.Events;
-    Accesses += O.Accesses;
-    SampledAccesses += O.SampledAccesses;
-    AcquiresTotal += O.AcquiresTotal;
-    AcquiresSkipped += O.AcquiresSkipped;
-    AcquiresProcessed += O.AcquiresProcessed;
-    ReleasesTotal += O.ReleasesTotal;
-    ReleasesSkipped += O.ReleasesSkipped;
-    ReleasesProcessed += O.ReleasesProcessed;
-    ShallowCopies += O.ShallowCopies;
-    DeepCopies += O.DeepCopies;
-    PoolHits += O.PoolHits;
-    CowBreaks += O.CowBreaks;
-    EntriesTraversed += O.EntriesTraversed;
-    TraversalOpportunities += O.TraversalOpportunities;
-    FullClockOps += O.FullClockOps;
-    RaceChecks += O.RaceChecks;
-    RacesDeclared += O.RacesDeclared;
-    return *this;
-  }
+  /// Field-wise accumulation over \ref MetricsFields. Sharded sessions
+  /// sum the per-shard counters into the lane's reported Metrics; the
+  /// sharded dispatch contract (access work partitioned by VarId,
+  /// replicated sync work attributed to shard 0 only) is what makes the sum
+  /// land field-for-field on the unsharded run's numbers.
+  Metrics &operator+=(const Metrics &O);
 
   /// Field-wise equality; the engine-equivalence tests use it to assert that
   /// a session fan-out lane did bit-identical work to a standalone run.
   bool operator==(const Metrics &) const = default;
 };
+
+/// One Metrics counter: its name in the session report and its member.
+struct MetricsField {
+  const char *Name;
+  uint64_t Metrics::*Member;
+};
+
+/// Every Metrics counter, in declaration order: the one list that
+/// Metrics::operator+= and the session report's "metrics" object walk.
+inline constexpr MetricsField MetricsFields[] = {
+    {"events", &Metrics::Events},
+    {"accesses", &Metrics::Accesses},
+    {"sampledAccesses", &Metrics::SampledAccesses},
+    {"acquiresTotal", &Metrics::AcquiresTotal},
+    {"acquiresSkipped", &Metrics::AcquiresSkipped},
+    {"acquiresProcessed", &Metrics::AcquiresProcessed},
+    {"releasesTotal", &Metrics::ReleasesTotal},
+    {"releasesSkipped", &Metrics::ReleasesSkipped},
+    {"releasesProcessed", &Metrics::ReleasesProcessed},
+    {"shallowCopies", &Metrics::ShallowCopies},
+    {"deepCopies", &Metrics::DeepCopies},
+    {"poolHits", &Metrics::PoolHits},
+    {"cowBreaks", &Metrics::CowBreaks},
+    {"entriesTraversed", &Metrics::EntriesTraversed},
+    {"traversalOpportunities", &Metrics::TraversalOpportunities},
+    {"fullClockOps", &Metrics::FullClockOps},
+    {"raceChecks", &Metrics::RaceChecks},
+    {"racesDeclared", &Metrics::RacesDeclared},
+};
+static_assert(sizeof(Metrics) == std::size(MetricsFields) * sizeof(uint64_t),
+              "every Metrics counter needs its MetricsFields entry");
+
+inline Metrics &Metrics::operator+=(const Metrics &O) {
+  for (const MetricsField &F : MetricsFields)
+    this->*F.Member += O.*F.Member;
+  return *this;
+}
 
 } // namespace sampletrack
 

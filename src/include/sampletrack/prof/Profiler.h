@@ -119,12 +119,15 @@ public:
   void counterEvent(NodeId Id, std::string_view Name, uint64_t Value);
 
   const std::string &name() const { return TreeName; }
-  const std::vector<TimelineEvent> &timeline() const { return Timeline; }
-  const std::vector<CounterSample> &counterSamples() const {
-    return CounterTrack;
-  }
-  /// Resolves a node's name (export helper).
-  const std::string &nodeName(NodeId Id) const { return Nodes[Id].Name; }
+
+  /// The export side of the tree: each timeline event with its node's
+  /// name, and the counter track. copyTimelines takes it under the tree
+  /// lock when the tree is locked, so a live tree exports while it records.
+  struct Timelines {
+    std::vector<std::pair<std::string, TimelineEvent>> Spans;
+    std::vector<CounterSample> Counters;
+  };
+  Timelines copyTimelines() const;
 
 private:
   friend class Profiler;

@@ -18,6 +18,8 @@
 #ifndef SAMPLETRACK_PROF_REPORT_H
 #define SAMPLETRACK_PROF_REPORT_H
 
+#include "sampletrack/support/Json.h"
+
 #include <cstdint>
 #include <map>
 #include <string>
@@ -70,11 +72,14 @@ Report stripTiming(Report R);
 ///     analyze               ...
 std::string toText(const Report &R);
 
-/// Flat JSON array fragment, one object per span in pre-order:
+/// Writes the flat profile array as the next value of \p W, one inline
+/// object per span in pre-order:
 ///   [{"path": "session/analyze/FT", "count": 3, "inclusiveNanos": ...,
 ///     "exclusiveNanos": ..., "counters": {...}}, ...]
 /// Embedded by the session JSON reporter, the bench trajectory files and
 /// the triaged /v1/stats endpoint.
+void toJsonArray(support::JsonWriter &W, const Report &R);
+/// The same array on its own.
 std::string toJsonArray(const Report &R);
 
 /// CSV rendering: header "path,count,inclusiveNanos,exclusiveNanos" plus

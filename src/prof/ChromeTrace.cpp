@@ -11,21 +11,29 @@
 #include "sampletrack/support/Json.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace sampletrack {
 namespace prof {
 
 namespace {
 
-/// Microseconds with sub-µs precision, relative to \p Base.
-std::string micros(uint64_t Nanos, uint64_t Base) {
-  char Buf[40];
-  uint64_t Rel = Nanos >= Base ? Nanos - Base : 0;
-  std::snprintf(Buf, sizeof(Buf), "%llu.%03llu",
-                static_cast<unsigned long long>(Rel / 1000),
-                static_cast<unsigned long long>(Rel % 1000));
-  return Buf;
+using support::JsonWriter;
+
+/// Microseconds relative to \p Base, to the nanosecond.
+JsonWriter::Fixed micros(uint64_t Nanos, uint64_t Base) {
+  return {static_cast<double>(Nanos >= Base ? Nanos - Base : 0) / 1e3, 3};
+}
+
+/// Writes a metadata event naming a process (\p Tid 0) or a thread.
+void nameEvent(JsonWriter &W, const char *What, size_t Pid, size_t Tid,
+               const std::string &Name) {
+  W.object(JsonWriter::Inline)
+      .fields({{"ph", "M"}, {"name", What}, {"pid", Pid}, {"tid", Tid}})
+      .key("args")
+      .object(JsonWriter::Inline)
+      .field("name", Name)
+      .end()
+      .end();
 }
 
 } // namespace
@@ -38,53 +46,39 @@ std::string toChromeTrace(std::span<const TraceSource> Sources) {
   if (Base == ~0ull)
     Base = 0;
 
-  std::string Out = "{\"traceEvents\": [\n";
-  bool First = true;
-  auto emit = [&](const std::string &Event) {
-    if (!First)
-      Out += ",\n";
-    First = false;
-    Out += "  " + Event;
-  };
-
+  JsonWriter W;
+  W.object(JsonWriter::Inline).key("traceEvents").array();
   for (size_t P = 0; P < Sources.size(); ++P) {
     const TraceSource &Src = Sources[P];
     if (!Src.Prof)
       continue;
-    std::string Pid = std::to_string(P + 1);
-    emit("{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " + Pid +
-         ", \"tid\": 0, \"args\": {\"name\": \"" +
-         support::jsonEscape(Src.ProcessName) + "\"}}");
+    size_t Pid = P + 1;
+    nameEvent(W, "process_name", Pid, 0, Src.ProcessName);
     std::vector<const Tree *> Trees = Src.Prof->trees();
     for (size_t T = 0; T < Trees.size(); ++T) {
-      const Tree *Tr = Trees[T];
-      std::string Tid = std::to_string(T + 1);
-      emit("{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " + Pid +
-           ", \"tid\": " + Tid + ", \"args\": {\"name\": \"" +
-           support::jsonEscape(Tr->name()) + "\"}}");
-      for (const TimelineEvent &E : Tr->timeline()) {
-        uint64_t Dur = E.EndNanos > E.StartNanos ? E.EndNanos - E.StartNanos
-                                                 : 0;
-        char DurBuf[40];
-        std::snprintf(DurBuf, sizeof(DurBuf), "%llu.%03llu",
-                      static_cast<unsigned long long>(Dur / 1000),
-                      static_cast<unsigned long long>(Dur % 1000));
-        emit("{\"ph\": \"X\", \"name\": \"" +
-             support::jsonEscape(Tr->nodeName(E.Node)) + "\", \"cat\": \"" +
-             support::jsonEscape(Src.ProcessName) + "\", \"pid\": " + Pid +
-             ", \"tid\": " + Tid +
-             ", \"ts\": " + micros(E.StartNanos, Base) +
-             ", \"dur\": " + DurBuf + "}");
-      }
-      for (const CounterSample &C : Tr->counterSamples())
-        emit("{\"ph\": \"C\", \"name\": \"" + support::jsonEscape(C.Name) +
-             "\", \"pid\": " + Pid + ", \"tid\": " + Tid +
-             ", \"ts\": " + micros(C.Nanos, Base) + ", \"args\": {\"" +
-             support::jsonEscape(C.Name) + "\": " + std::to_string(C.Value) + "}}");
+      size_t Tid = T + 1;
+      nameEvent(W, "thread_name", Pid, Tid, Trees[T]->name());
+      Tree::Timelines Copy = Trees[T]->copyTimelines();
+      for (const auto &[Name, E] : Copy.Spans)
+        W.object(JsonWriter::Inline)
+            .fields({{"ph", "X"}, {"name", Name}, {"cat", Src.ProcessName},
+                     {"pid", Pid}, {"tid", Tid},
+                     {"ts", micros(E.StartNanos, Base)},
+                     {"dur", micros(E.EndNanos, E.StartNanos)}})
+            .end();
+      for (const CounterSample &C : Copy.Counters)
+        W.object(JsonWriter::Inline)
+            .fields({{"ph", "C"}, {"name", C.Name}, {"pid", Pid},
+                     {"tid", Tid}, {"ts", micros(C.Nanos, Base)}})
+            .key("args")
+            .object(JsonWriter::Inline)
+            .field(C.Name, C.Value)
+            .end()
+            .end();
     }
   }
-  Out += "\n], \"displayTimeUnit\": \"ms\"}\n";
-  return Out;
+  W.end().field("displayTimeUnit", "ms").end();
+  return W.take();
 }
 
 std::string toChromeTrace(const Profiler &P, std::string_view ProcessName) {

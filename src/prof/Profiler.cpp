@@ -129,6 +129,16 @@ void Tree::counterEvent(NodeId Id, std::string_view Name, uint64_t Value) {
     CounterTrack.push_back({std::string(Name), nowNanos(), Value});
 }
 
+Tree::Timelines Tree::copyTimelines() const {
+  MaybeLock L(Mu, Locked);
+  Timelines Out;
+  Out.Spans.reserve(Timeline.size());
+  for (const TimelineEvent &E : Timeline)
+    Out.Spans.emplace_back(Nodes[E.Node].Name, E);
+  Out.Counters = CounterTrack;
+  return Out;
+}
+
 void Tree::mergeInto(ReportMergeNode &Root) const {
   MaybeLock L(Mu, Locked);
   // Recursive walk without recursion: (tree node, merge node) pairs.

@@ -50,35 +50,22 @@ void textNode(const ReportNode &N, size_t Depth, std::string &Out) {
     textNode(C, Depth + 1, Out);
 }
 
-void jsonNode(const ReportNode &N, const std::string &Prefix, bool &First,
-              std::string &Out) {
+void jsonNode(support::JsonWriter &W, const ReportNode &N,
+              const std::string &Prefix) {
   std::string Path = Prefix.empty() ? N.Name : Prefix + "/" + N.Name;
-  if (!First)
-    Out += ", ";
-  First = false;
-  Out += "{\"path\": \"";
-  Out += support::jsonEscape(Path);
-  Out += "\", \"count\": ";
-  Out += std::to_string(N.Count);
-  Out += ", \"inclusiveNanos\": ";
-  Out += std::to_string(N.InclusiveNanos);
-  Out += ", \"exclusiveNanos\": ";
-  Out += std::to_string(N.ExclusiveNanos);
+  W.object(support::JsonWriter::Inline)
+      .fields({{"path", Path}, {"count", N.Count},
+               {"inclusiveNanos", N.InclusiveNanos},
+               {"exclusiveNanos", N.ExclusiveNanos}});
   if (!N.Counters.empty()) {
-    Out += ", \"counters\": {";
-    for (size_t I = 0; I < N.Counters.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += '"';
-      Out += support::jsonEscape(N.Counters[I].first);
-      Out += "\": ";
-      Out += std::to_string(N.Counters[I].second);
-    }
-    Out += "}";
+    W.key("counters").object(support::JsonWriter::Inline);
+    for (const auto &[Name, Value] : N.Counters)
+      W.field(Name, Value);
+    W.end();
   }
-  Out += "}";
+  W.end();
   for (const ReportNode &C : N.Children)
-    jsonNode(C, Path, First, Out);
+    jsonNode(W, C, Path);
 }
 
 void csvNode(const ReportNode &N, const std::string &Prefix,
@@ -105,13 +92,17 @@ std::string toText(const Report &R) {
   return Out;
 }
 
-std::string toJsonArray(const Report &R) {
-  std::string Out = "[";
-  bool First = true;
+void toJsonArray(support::JsonWriter &W, const Report &R) {
+  W.array(support::JsonWriter::Inline);
   for (const ReportNode &C : R.Root.Children)
-    jsonNode(C, "", First, Out);
-  Out += "]";
-  return Out;
+    jsonNode(W, C, "");
+  W.end();
+}
+
+std::string toJsonArray(const Report &R) {
+  support::JsonWriter W;
+  toJsonArray(W, R);
+  return W.take();
 }
 
 std::string toCsv(const Report &R) {

@@ -7,7 +7,9 @@
 
 #include "sampletrack/support/Json.h"
 
+#include <cassert>
 #include <cctype>
+#include <cmath>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -372,35 +374,114 @@ bool JsonValue::parseFile(const std::string &Path, JsonValue &Out,
   return parse(Os.str(), Out, Error);
 }
 
-std::string jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
+namespace {
+
+/// Quote and backslash get a backslash, newline and tab their short
+/// escapes, every other control byte \uXXXX; other bytes pass through.
+void appendEscaped(std::string &Out, std::string_view S) {
   for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
+    if (C == '"' || C == '\\') {
+      Out += '\\';
+      Out += C;
+    } else if (C == '\n') {
       Out += "\\n";
-      break;
-    case '\t':
+    } else if (C == '\t') {
       Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    } else if (static_cast<unsigned char>(C) < 0x20) {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", static_cast<unsigned>(C));
+      Out += Buf;
+    } else {
+      Out += C;
     }
   }
-  return Out;
+}
+
+/// std::to_chars writes as the C locale's printf, whatever the process
+/// locale. Buf holds DBL_MAX in fixed form.
+std::string_view formatDouble(char (&Buf)[352], double V,
+                              std::chars_format Format, int Precision) {
+  assert(Precision >= 0 && Precision <= 17);
+  if (!std::isfinite(V))
+    V = 0;
+  return {Buf, std::to_chars(Buf, Buf + sizeof(Buf), V, Format, Precision).ptr};
+}
+
+} // namespace
+
+void JsonWriter::separate() {
+  if (AfterKey || Stack.empty()) {
+    AfterKey = false;
+    return;
+  }
+  Frame &F = Stack.back();
+  if (!F.Empty)
+    Out += F.Pretty ? "," : ", ";
+  if (F.Pretty) {
+    Out += '\n';
+    Out.append(2 * PrettyDepth, ' ');
+  }
+  F.Empty = false;
+}
+
+JsonWriter &JsonWriter::open(char OpenChar, char Close, Layout L) {
+  separate();
+  Out += OpenChar;
+  Stack.push_back({Close, L == Pretty, true});
+  PrettyDepth += L == Pretty;
+  return *this;
+}
+
+JsonWriter &JsonWriter::end() {
+  assert(!Stack.empty() && !AfterKey && "end() with no open container");
+  Frame F = Stack.back();
+  Stack.pop_back();
+  if (F.Pretty) {
+    Out += '\n';
+    Out.append(2 * --PrettyDepth, ' ');
+  }
+  Out += F.Close;
+  if (Stack.empty() && F.Close == '}')
+    Out += '\n';
+  return *this;
+}
+
+JsonWriter &JsonWriter::key(std::string_view K) {
+  assert(!Stack.empty() && Stack.back().Close == '}' && !AfterKey &&
+         "key() outside an object");
+  value(K);
+  Out += ": ";
+  AfterKey = true;
+  return *this;
+}
+
+JsonWriter &JsonWriter::value(std::string_view S) {
+  separate();
+  Out += '"';
+  appendEscaped(Out, S);
+  Out += '"';
+  return *this;
+}
+
+JsonWriter &JsonWriter::value(Fixed F) {
+  char Buf[352];
+  return scalar(formatDouble(Buf, F.V, std::chars_format::fixed, F.Decimals));
+}
+
+JsonWriter &JsonWriter::value(General G) {
+  char Buf[352];
+  return scalar(formatDouble(Buf, G.V, std::chars_format::general, 6));
+}
+
+JsonWriter &JsonWriter::scalar(std::string_view Text) {
+  separate();
+  Out += Text;
+  return *this;
+}
+
+std::string JsonWriter::take() {
+  assert(Stack.empty() && "take() with an open container");
+  return std::move(Out);
 }
 
 } // namespace support

@@ -7,6 +7,8 @@
 
 #include "sampletrack/triage/Exporters.h"
 
+#include "sampletrack/support/Json.h"
+
 #include <sstream>
 
 using namespace sampletrack;
@@ -61,88 +63,80 @@ std::string sampletrack::triage::toText(const TriageStore &Store,
 }
 
 std::string sampletrack::triage::toJson(const TriageStore &Store) {
-  std::ostringstream OS;
-  OS << "{\n"
-     << "  \"signatureVersion\": " << RaceSignature::Version << ",\n"
-     << "  \"runs\": " << Store.runCount() << ",\n"
-     << "  \"distinctSignatures\": " << Store.size() << ",\n"
-     << "  \"races\": [\n";
-  std::vector<const TriageStore::Record *> Ranked = Store.ranked();
-  for (size_t I = 0; I < Ranked.size(); ++I) {
-    const TriageStore::Record &R = *Ranked[I];
-    OS << "    {\"signature\": \"" << hexOf(R.Signature) << "\", \"hits\": "
-       << R.Hits << ", \"runs\": " << R.Runs << ", \"firstSeenRun\": "
-       << R.FirstSeenRun << ", \"lastSeenRun\": " << R.LastSeenRun
-       << ", \"suppressed\": " << (R.Suppressed ? "true" : "false")
-       << ", \"status\": \"" << raceStatusName(R.LastStatus)
-       << "\", \"var\": " << R.Exemplar.Var << ", \"op\": \""
-       << opKindName(R.Exemplar.Kind) << "\", \"threadRole\": \""
-       << roleName(R.Exemplar.Tid) << "\", \"exemplarEvent\": "
-       << R.Exemplar.EventIndex << ", \"exemplarThread\": " << R.Exemplar.Tid
-       << "}" << (I + 1 < Ranked.size() ? "," : "") << "\n";
+  support::JsonWriter W;
+  W.object().fields({{"signatureVersion", RaceSignature::Version},
+                     {"runs", Store.runCount()},
+                     {"distinctSignatures", Store.size()}});
+  W.key("races").array();
+  for (const TriageStore::Record *RP : Store.ranked()) {
+    const TriageStore::Record &R = *RP;
+    W.object(support::JsonWriter::Inline)
+        .fields({{"signature", hexOf(R.Signature)}, {"hits", R.Hits},
+                 {"runs", R.Runs}, {"firstSeenRun", R.FirstSeenRun},
+                 {"lastSeenRun", R.LastSeenRun}, {"suppressed", R.Suppressed},
+                 {"status", raceStatusName(R.LastStatus)},
+                 {"var", R.Exemplar.Var}, {"op", opKindName(R.Exemplar.Kind)},
+                 {"threadRole", roleName(R.Exemplar.Tid)},
+                 {"exemplarEvent", R.Exemplar.EventIndex},
+                 {"exemplarThread", R.Exemplar.Tid}})
+        .end();
   }
-  OS << "  ]\n}\n";
-  return OS.str();
+  W.end().end();
+  return W.take();
 }
 
 std::string sampletrack::triage::toSarif(const TriageStore &Store,
                                          const std::string &ToolVersion) {
-  std::ostringstream OS;
-  OS << "{\n"
-     << "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/"
-        "sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n"
-     << "  \"version\": \"2.1.0\",\n"
-     << "  \"runs\": [\n"
-     << "    {\n"
-     << "      \"tool\": {\n"
-     << "        \"driver\": {\n"
-     << "          \"name\": \"SampleTrack\",\n"
-     << "          \"version\": \"" << ToolVersion << "\",\n"
-     << "          \"rules\": [\n"
-     << "            {\n"
-     << "              \"id\": \"sampletrack/data-race\",\n"
-     << "              \"name\": \"DataRace\",\n"
-     << "              \"shortDescription\": {\"text\": \"Data race "
-        "detected by sampling-based happens-before analysis\"}\n"
-     << "            }\n"
-     << "          ]\n"
-     << "        }\n"
-     << "      },\n"
-     << "      \"results\": [\n";
-  std::vector<const TriageStore::Record *> Ranked = Store.ranked();
-  bool First = true;
-  for (const TriageStore::Record *RP : Ranked) {
+  constexpr auto Inline = support::JsonWriter::Inline;
+  support::JsonWriter W;
+  W.object().fields(
+      {{"$schema", "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
+                   "master/Schemata/sarif-schema-2.1.0.json"},
+       {"version", "2.1.0"}});
+  W.key("runs").array().object().key("tool").object().key("driver").object();
+  W.fields({{"name", "SampleTrack"}, {"version", ToolVersion}});
+  W.key("rules").array().object();
+  W.fields({{"id", "sampletrack/data-race"}, {"name", "DataRace"}});
+  W.key("shortDescription")
+      .object(Inline)
+      .field("text", "Data race detected by sampling-based happens-before "
+                     "analysis")
+      .end();
+  W.end().end().end().end(); // The rule, rules, driver, tool.
+  W.key("results").array();
+  for (const TriageStore::Record *RP : Store.ranked()) {
     const TriageStore::Record &R = *RP;
     if (R.Suppressed)
       continue; // Suppressions are the SARIF consumer's "dismissed" state.
-    if (!First)
-      OS << ",\n";
-    First = false;
-    OS << "        {\n"
-       << "          \"ruleId\": \"sampletrack/data-race\",\n"
-       << "          \"level\": \"warning\",\n"
-       << "          \"message\": {\"text\": \"" << describe(R) << ": "
-       << R.Hits << " declaration(s) across " << R.Runs << " run(s)\"},\n"
-       << "          \"partialFingerprints\": {\"raceSignature/v"
-       << RaceSignature::Version << "\": \"" << hexOf(R.Signature)
-       << "\"},\n"
-       << "          \"locations\": [\n"
-       << "            {\"logicalLocations\": [{\"fullyQualifiedName\": "
-          "\"var:"
-       << R.Exemplar.Var << "\", \"kind\": \"variable\"}]}\n"
-       << "          ],\n"
-       << "          \"properties\": {\"hits\": " << R.Hits
-       << ", \"runs\": " << R.Runs << ", \"firstSeenRun\": "
-       << R.FirstSeenRun << ", \"lastSeenRun\": " << R.LastSeenRun
-       << ", \"threadRole\": \"" << roleName(R.Exemplar.Tid)
-       << "\", \"op\": \"" << opKindName(R.Exemplar.Kind) << "\"}\n"
-       << "        }";
+    W.object().fields(
+        {{"ruleId", "sampletrack/data-race"}, {"level", "warning"}});
+    W.key("message")
+        .object(Inline)
+        .field("text", describe(R) + ": " + std::to_string(R.Hits) +
+                           " declaration(s) across " +
+                           std::to_string(R.Runs) + " run(s)")
+        .end();
+    W.key("partialFingerprints")
+        .object(Inline)
+        .field("raceSignature/v" + std::to_string(RaceSignature::Version),
+               hexOf(R.Signature))
+        .end();
+    W.key("locations").array().object(Inline);
+    W.key("logicalLocations").array(Inline).object(Inline);
+    W.fields({{"fullyQualifiedName", "var:" + std::to_string(R.Exemplar.Var)},
+              {"kind", "variable"}});
+    // The logical location, logicalLocations, the location, locations.
+    W.end().end().end().end();
+    W.key("properties")
+        .object(Inline)
+        .fields({{"hits", R.Hits}, {"runs", R.Runs},
+                 {"firstSeenRun", R.FirstSeenRun},
+                 {"lastSeenRun", R.LastSeenRun},
+                 {"threadRole", roleName(R.Exemplar.Tid)},
+                 {"op", opKindName(R.Exemplar.Kind)}})
+        .end()
+        .end();
   }
-  if (!First)
-    OS << "\n";
-  OS << "      ]\n"
-     << "    }\n"
-     << "  ]\n"
-     << "}\n";
-  return OS.str();
+  W.end().end().end().end(); // results, the run, runs, the log.
+  return W.take();
 }

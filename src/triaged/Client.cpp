@@ -7,6 +7,7 @@
 
 #include "sampletrack/triaged/Client.h"
 
+#include "sampletrack/support/Json.h"
 #include "sampletrack/support/Rng.h"
 #include "sampletrack/trace/TraceIO.h"
 
@@ -20,6 +21,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -121,25 +123,35 @@ bool parseStatus(const std::string &Head, int &Status) {
   return Status >= 100 && Status <= 599;
 }
 
-/// Pulls "<Key>: <uint>" out of the upload-response JSON the server
-/// renders. The format is ours end to end, so a line scan is enough — no
-/// JSON parser dependency for one integer per field.
-bool jsonUInt(const std::string &Body, const std::string &Key,
-              uint64_t &Out) {
-  std::string Needle = "\"" + Key + "\": ";
-  size_t At = Body.find(Needle);
-  if (At == std::string::npos)
+/// Reads the server's upload response (its run record) into \p Out. The
+/// seven counters must be non-negative integers, the run index must fit
+/// in 32 bits, and "deduplicated", when present, must be a bool.
+bool parseUploadResponse(const std::string &Body, UploadOutcome &Out) {
+  support::JsonValue Doc;
+  if (!support::JsonValue::parse(Body, Doc))
     return false;
-  Out = std::strtoull(Body.c_str() + At + Needle.size(), nullptr, 10);
-  return true;
-}
-
-bool jsonBool(const std::string &Body, const std::string &Key, bool &Out) {
-  std::string Needle = "\"" + Key + "\": ";
-  size_t At = Body.find(Needle);
-  if (At == std::string::npos)
+  // \p Limit is exclusive; every bound here is a power of two, exact in a
+  // double.
+  auto Count = [&Doc](const char *Key, double Limit, uint64_t &Value) {
+    double V = Doc.getNumber(Key, -1);
+    if (!(V >= 0 && V < Limit) || V != std::floor(V))
+      return false;
+    Value = static_cast<uint64_t>(V);
+    return true;
+  };
+  uint64_t Run = 0;
+  if (!Count("run", 0x1p32, Run) || !Count("declared", 0x1p64, Out.Declared) ||
+      !Count("distinct", 0x1p64, Out.Distinct) ||
+      !Count("new", 0x1p64, Out.NewCount) ||
+      !Count("known", 0x1p64, Out.KnownCount) ||
+      !Count("regressed", 0x1p64, Out.RegressedCount) ||
+      !Count("suppressed", 0x1p64, Out.SuppressedCount))
     return false;
-  Out = Body.compare(At + Needle.size(), 4, "true") == 0;
+  const support::JsonValue *Dedup = Doc.get("deduplicated");
+  if (Dedup && !Dedup->isBool())
+    return false;
+  Out.Run = static_cast<uint32_t>(Run);
+  Out.Deduplicated = Dedup && Dedup->Bool;
   return true;
 }
 
@@ -350,19 +362,9 @@ bool Client::uploadFramed(WireContent Content, std::string_view Payload,
     if (Resp.Status != 200)
       return fail(Error, "upload rejected: HTTP " +
                              std::to_string(Resp.Status) + ": " + Resp.Body);
-    uint64_t Run = 0;
-    if (!jsonUInt(Resp.Body, "run", Run) ||
-        !jsonUInt(Resp.Body, "declared", Out.Declared) ||
-        !jsonUInt(Resp.Body, "distinct", Out.Distinct) ||
-        !jsonUInt(Resp.Body, "new", Out.NewCount) ||
-        !jsonUInt(Resp.Body, "known", Out.KnownCount) ||
-        !jsonUInt(Resp.Body, "regressed", Out.RegressedCount) ||
-        !jsonUInt(Resp.Body, "suppressed", Out.SuppressedCount))
+    if (!parseUploadResponse(Resp.Body, Out))
       return fail(Error, "malformed upload response: " + Resp.Body);
-    Out.Run = static_cast<uint32_t>(Run);
     Out.RunId = Id;
-    Out.Deduplicated = false;
-    (void)jsonBool(Resp.Body, "deduplicated", Out.Deduplicated);
     return true;
   }
   return fail(Error, "upload failed after " + std::to_string(Attempts) +

@@ -22,7 +22,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <sstream>
 
 using namespace sampletrack;
 using namespace sampletrack::triaged;
@@ -53,37 +52,27 @@ bool sendAll(int Fd, std::string_view Bytes) {
   return true;
 }
 
-std::string jsonStringArray(const std::vector<std::string> &Items) {
-  std::string Out = "[";
-  for (size_t I = 0; I < Items.size(); ++I) {
-    Out += "\"" + Items[I] + "\"";
-    if (I + 1 < Items.size())
-      Out += ", ";
-  }
-  Out += "]";
-  return Out;
-}
-
 /// The POST /v1/runs response body and the /v1/runs/{id}/classified body
 /// share one rendering: what this run's merge did to the warehouse.
 std::string renderRunRecord(const RunRecord &R) {
-  std::ostringstream OS;
-  OS << "{\n"
-     << "  \"run\": " << R.Run << ",\n"
-     << "  \"runId\": \"" << support::jsonEscape(R.RunId) << "\",\n"
-     << "  \"deduplicated\": " << (R.Deduplicated ? "true" : "false")
-     << ",\n"
-     << "  \"content\": \"" << wireContentName(R.Content) << "\",\n"
-     << "  \"declared\": " << R.Declared << ",\n"
-     << "  \"distinct\": " << R.Distinct << ",\n"
-     << "  \"new\": " << R.NewCount << ",\n"
-     << "  \"known\": " << R.KnownCount << ",\n"
-     << "  \"regressed\": " << R.RegressedCount << ",\n"
-     << "  \"suppressed\": " << R.SuppressedCount << ",\n"
-     << "  \"newRaces\": " << jsonStringArray(R.NewSigs) << ",\n"
-     << "  \"regressedRaces\": " << jsonStringArray(R.RegressedSigs) << "\n"
-     << "}\n";
-  return OS.str();
+  support::JsonWriter W;
+  W.object().fields({{"run", R.Run}, {"runId", R.RunId},
+                     {"deduplicated", R.Deduplicated},
+                     {"content", wireContentName(R.Content)},
+                     {"declared", R.Declared}, {"distinct", R.Distinct},
+                     {"new", R.NewCount}, {"known", R.KnownCount},
+                     {"regressed", R.RegressedCount},
+                     {"suppressed", R.SuppressedCount}});
+  for (const auto &[Key, Sigs] :
+       {std::pair{"newRaces", &R.NewSigs},
+        std::pair{"regressedRaces", &R.RegressedSigs}}) {
+    W.key(Key).array(support::JsonWriter::Inline);
+    for (const std::string &Sig : *Sigs)
+      W.value(Sig);
+    W.end();
+  }
+  W.end();
+  return W.take();
 }
 
 /// Rebuilds a RunRecord from a journal-replayed run, so restart answers
@@ -698,73 +687,53 @@ std::string Server::handleClassified(const std::string &Path,
 }
 
 std::string Server::statsJson() const {
-  size_t StoreSize, StoreRuns;
-  uint64_t NextSeq, Gen, BaseBytes, JournalBytes, Appended, Compacted,
-      Compactions;
-  bool Poisoned;
+  constexpr auto Inline = support::JsonWriter::Inline;
+  support::JsonWriter W;
   {
     std::lock_guard<std::mutex> L(WriterMutex);
-    StoreSize = Log.store().size();
-    StoreRuns = Log.store().runCount();
-    NextSeq = NextSequence;
-    Gen = Log.generation();
-    BaseBytes = Log.baseBytes();
-    JournalBytes = Log.journalBytes();
-    Appended = Log.bytesAppended();
-    Compacted = Log.bytesCompacted();
-    Compactions = Log.compactions();
-    Poisoned = Log.poisoned();
+    W.object().key("store").object(Inline);
+    W.fields({{"runs", Log.store().runCount()},
+              {"distinctSignatures", Log.store().size()},
+              {"generation", Log.generation()}, {"baseBytes", Log.baseBytes()},
+              {"journalBytes", Log.journalBytes()}});
+    W.end().key("durability").object(Inline);
+    W.fields({{"bytesAppended", Log.bytesAppended()},
+              {"bytesCompacted", Log.bytesCompacted()},
+              {"compactions", Log.compactions()},
+              {"poisoned", Log.poisoned()}});
+    W.end().field("nextSequence", NextSequence);
   }
-  std::ostringstream OS;
-  OS << "{\n"
-     << "  \"store\": {\"runs\": " << StoreRuns
-     << ", \"distinctSignatures\": " << StoreSize
-     << ", \"generation\": " << Gen << ", \"baseBytes\": " << BaseBytes
-     << ", \"journalBytes\": " << JournalBytes << "},\n"
-     << "  \"durability\": {\"bytesAppended\": " << Appended
-     << ", \"bytesCompacted\": " << Compacted
-     << ", \"compactions\": " << Compactions << ", \"poisoned\": "
-     << (Poisoned ? "true" : "false") << "},\n"
-     << "  \"nextSequence\": " << NextSeq << ",\n"
-     << "  \"draining\": "
-     << (Draining.load(std::memory_order_acquire) ? "true" : "false")
-     << ",\n"
-     << "  \"connectionsAccepted\": " << CConnections.load() << ",\n"
-     << "  \"connectionsShed\": " << CShed.load() << ",\n"
-     << "  \"requestsServed\": " << CRequests.load() << ",\n"
-     << "  \"requestTimeouts\": " << CReqTimeouts.load() << ",\n"
-     << "  \"uploadsAccepted\": " << CUploadsOk.load() << ",\n"
-     << "  \"uploadsRejected\": " << CUploadsBad.load() << ",\n"
-     << "  \"uploadsDeduplicated\": " << CDeduplicated.load() << ",\n"
-     << "  \"traceUploads\": " << CTraceUploads.load() << ",\n"
-     << "  \"summaryUploads\": " << CSummaryUploads.load() << ",\n"
-     << "  \"bytesIngested\": " << CBytes.load() << ",\n"
-     << "  \"eventsAnalyzed\": " << CEvents.load() << ",\n"
-     << "  \"racesDeclared\": " << CRaces.load() << ",\n"
-     << "  \"badRequests\": " << CBadRequests.load() << ",\n"
-     << "  \"notFound\": " << CNotFound.load() << ",\n"
-     << "  \"sequenceTimeouts\": " << CSeqTimeouts.load() << ",\n";
+  W.fields(
+      {{"draining", Draining.load(std::memory_order_acquire)},
+       {"connectionsAccepted", CConnections.load()},
+       {"connectionsShed", CShed.load()},
+       {"requestsServed", CRequests.load()},
+       {"requestTimeouts", CReqTimeouts.load()},
+       {"uploadsAccepted", CUploadsOk.load()},
+       {"uploadsRejected", CUploadsBad.load()},
+       {"uploadsDeduplicated", CDeduplicated.load()},
+       {"traceUploads", CTraceUploads.load()},
+       {"summaryUploads", CSummaryUploads.load()},
+       {"bytesIngested", CBytes.load()}, {"eventsAnalyzed", CEvents.load()},
+       {"racesDeclared", CRaces.load()}, {"badRequests", CBadRequests.load()},
+       {"notFound", CNotFound.load()},
+       {"sequenceTimeouts", CSeqTimeouts.load()}});
   // Per-route request latency (routes that served at least one request) and
   // the merged span profile. Both empty when profiling is off.
-  OS << "  \"latency\": {";
-  bool FirstRoute = true;
+  W.key("latency").object(Inline);
   for (size_t R = 0; R < NumRoutes; ++R) {
     support::LatencyHistogram::Snapshot S = RouteLatency[R].snapshot();
-    if (!S.Count)
-      continue;
-    if (!FirstRoute)
-      OS << ", ";
-    FirstRoute = false;
-    OS << "\"" << RouteNames[R] << "\": {\"count\": " << S.Count
-       << ", \"p50Micros\": " << S.P50Micros
-       << ", \"p95Micros\": " << S.P95Micros
-       << ", \"maxMicros\": " << S.MaxMicros << "}";
+    if (S.Count)
+      W.key(RouteNames[R])
+          .object(Inline)
+          .fields({{"count", S.Count}, {"p50Micros", S.P50Micros},
+                   {"p95Micros", S.P95Micros}, {"maxMicros", S.MaxMicros}})
+          .end();
   }
-  OS << "},\n";
-  OS << "  \"profile\": "
-     << (Prof ? prof::toJsonArray(Prof->report()) : std::string("[]"))
-     << "\n}\n";
-  return OS.str();
+  W.end();
+  prof::toJsonArray(W.key("profile"), Prof ? Prof->report() : prof::Report());
+  W.end();
+  return W.take();
 }
 
 void Server::drain() {

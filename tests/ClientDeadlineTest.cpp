@@ -10,7 +10,9 @@
 // never answers, answers half a header and stalls, or never accepts at all
 // — and asserts the round-trip fails in bounded time with a "timed out"
 // transport error. Before the poll()-based deadlines these scenarios hung
-// the old recv-until-EOF loop forever.
+// the old recv-until-EOF loop forever. A canned one-shot server also feeds
+// the client malformed answers: a garbage status line, and run records
+// whose counters are not non-negative integers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -172,39 +175,107 @@ TEST(ClientDeadlineTest, UploadRetriesStillBounded) {
   EXPECT_LT(Ms, 5000) << Err;
 }
 
+/// A one-shot loopback "server": accepts one connection, reads one whole
+/// request, answers \p Response verbatim and closes.
+class CannedServer {
+public:
+  explicit CannedServer(std::string Response) {
+    ListenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(ListenFd, 0) << std::strerror(errno);
+    sockaddr_in Addr{};
+    Addr.sin_family = AF_INET;
+    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr),
+                     sizeof(Addr)),
+              0);
+    socklen_t Len = sizeof(Addr);
+    EXPECT_EQ(
+        ::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Addr), &Len),
+        0);
+    BoundPort = ntohs(Addr.sin_port);
+    EXPECT_EQ(::listen(ListenFd, 1), 0);
+    Responder = std::thread([this, Response = std::move(Response)] {
+      int Fd = ::accept(ListenFd, nullptr, nullptr);
+      if (Fd < 0)
+        return;
+      // Read through the end of the body, so closing never resets a client
+      // that is still sending.
+      std::string Req;
+      size_t Need = std::string::npos;
+      char Buf[4096];
+      while (Req.size() < Need) {
+        ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+        if (N <= 0)
+          break;
+        Req.append(Buf, static_cast<size_t>(N));
+        size_t HeadEnd = Req.find("\r\n\r\n");
+        if (HeadEnd == std::string::npos)
+          continue;
+        size_t Cl = Req.find("Content-Length: ");
+        Need = HeadEnd + 4 +
+               (Cl < HeadEnd ? std::strtoull(Req.c_str() + Cl + 16, nullptr, 10)
+                             : 0);
+      }
+      (void)!::send(Fd, Response.data(), Response.size(), MSG_NOSIGNAL);
+      ::close(Fd);
+    });
+  }
+  ~CannedServer() {
+    Responder.join();
+    ::close(ListenFd);
+  }
+
+  uint16_t port() const { return BoundPort; }
+
+private:
+  int ListenFd = -1;
+  uint16_t BoundPort = 0;
+  std::thread Responder;
+};
+
 TEST(ClientDeadlineTest, StatusParseRejectsGarbage) {
   // A "server" that answers a non-numeric status code: the bounds-checked
   // parse must report a malformed status, not atoi it to 0.
-  int ListenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(ListenFd, 0);
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr),
-                   sizeof(Addr)),
-            0);
-  socklen_t Len = sizeof(Addr);
-  ASSERT_EQ(
-      ::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Addr), &Len), 0);
-  ASSERT_EQ(::listen(ListenFd, 1), 0);
-  std::thread Server([ListenFd] {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
-      return;
-    char Buf[4096];
-    (void)!::recv(Fd, Buf, sizeof(Buf), 0);
-    const char Bad[] = "HTTP/1.1 XYZ Nope\r\nContent-Length: 0\r\n\r\n";
-    (void)!::send(Fd, Bad, sizeof(Bad) - 1, MSG_NOSIGNAL);
-    ::close(Fd);
-  });
-  triaged::Client C("127.0.0.1", ntohs(Addr.sin_port));
+  CannedServer S("HTTP/1.1 XYZ Nope\r\nContent-Length: 0\r\n\r\n");
+  triaged::Client C("127.0.0.1", S.port());
   C.Config.RecvTimeoutMillis = 2000;
   triaged::Client::Response R;
   std::string Err;
   EXPECT_FALSE(C.get("/v1/stats", R, &Err));
   EXPECT_NE(Err.find("status"), std::string::npos) << Err;
-  Server.join();
-  ::close(ListenFd);
+}
+
+TEST(ClientDeadlineTest, UploadRejectsMalformedRunRecord) {
+  // A 200 whose run record is not what the server renders: the client must
+  // reject it, not read a string or a negative number as a run index.
+  auto Record = [](const std::string &Run) {
+    return "{\"run\": " + Run +
+           ", \"runId\": \"r\", \"deduplicated\": false, \"declared\": 3, "
+           "\"distinct\": 1, \"new\": 1, \"known\": 0, \"regressed\": 0, "
+           "\"suppressed\": 0, \"newRaces\": [], \"regressedRaces\": []}\n";
+  };
+  auto Upload = [](const std::string &Body, triaged::UploadOutcome &Up,
+                   std::string &Err) {
+    CannedServer S("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                   "Content-Length: " +
+                   std::to_string(Body.size()) + "\r\n\r\n" + Body);
+    triaged::Client C("127.0.0.1", S.port());
+    C.Config.RecvTimeoutMillis = 2000;
+    return C.uploadSummary(triage::TriageSummary{}, Up, &Err);
+  };
+
+  triaged::UploadOutcome Up;
+  std::string Err;
+  ASSERT_TRUE(Upload(Record("7"), Up, Err)) << Err;
+  EXPECT_EQ(Up.Run, 7u);
+  EXPECT_EQ(Up.Declared, 3u);
+
+  for (const char *Run : {"\"x\"", "-1"}) {
+    Err.clear();
+    EXPECT_FALSE(Upload(Record(Run), Up, Err)) << "run " << Run;
+    EXPECT_NE(Err.find("malformed upload response"), std::string::npos)
+        << Err;
+  }
 }
 
 } // namespace

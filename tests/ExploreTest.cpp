@@ -14,13 +14,14 @@
 /// deduplicated race set matches the HBClosureOracle's on every explored
 /// interleaving.
 ///
-/// Schedule budgets scale with SAMPLETRACK_EXPLORE_SCHEDULES (the `explore`
+/// SAMPLETRACK_EXPLORE_SCHEDULES raises the schedule budgets (the `explore`
 /// ctest label): CI smoke keeps the defaults, nightly goes deep.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "sampletrack/api/Exploration.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
+#include "sampletrack/support/Json.h"
 #include "sampletrack/trace/TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -33,11 +34,14 @@ using namespace sampletrack::explore;
 
 namespace {
 
-/// Schedule budget for one exploration loop: \p Default, unless
-/// SAMPLETRACK_EXPLORE_SCHEDULES overrides it (nightly CI goes deeper).
+/// Schedule budget for one exploration loop: \p Default, or more when
+/// SAMPLETRACK_EXPLORE_SCHEDULES asks for more (nightly CI goes deeper). It
+/// never lowers a test's budget: a test's default is what its assertions
+/// need.
 size_t exploreSchedules(size_t Default) {
   if (const char *V = std::getenv("SAMPLETRACK_EXPLORE_SCHEDULES"))
-    return std::max(1, std::atoi(V));
+    return static_cast<size_t>(
+        std::max<long long>(static_cast<long long>(Default), std::atoll(V)));
   return Default;
 }
 
@@ -332,6 +336,19 @@ TEST(ExploreDeterminism, ReportIsByteIdenticalAcrossRunsAndWorkerCounts) {
   Par.NumWorkers = 2;
   ExploreReport R3 = api::runExploration(Par, W, EC);
   EXPECT_EQ(toJson(R1), toJson(R3));
+}
+
+TEST(ExploreReport, JsonEscapesModeAndEngineNames) {
+  // Mode and engine names are strings like any other: a quote in either
+  // must leave a document the reader accepts.
+  ExploreReport R;
+  R.Mode = "ran\"dom";
+  R.Engines.push_back(EngineCoverage{});
+  R.Engines.back().Engine = "F\"T";
+  support::JsonValue Doc;
+  std::string Err;
+  ASSERT_TRUE(support::JsonValue::parse(toJson(R), Doc, &Err)) << Err;
+  EXPECT_EQ(Doc.getString("mode"), R.Mode);
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,6 +13,7 @@
 
 #include "sampletrack/api/Report.h"
 #include "sampletrack/runtime/Runtime.h"
+#include "sampletrack/support/Json.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/triage/Exporters.h"
 #include "sampletrack/triage/TriageStore.h"
@@ -623,6 +624,25 @@ TEST(Exporters, GoldenSarifDocumentIsPinned) {
   EXPECT_EQ(toSarif(Store, "1.2.3"), Expected);
   // The pinned fingerprint is the real signature, not a frozen accident.
   EXPECT_EQ(RaceSignature{sigOfVar(10)}.hex(), "4b621cf676431f58");
+}
+
+TEST(Exporters, SarifEscapesTheToolVersion) {
+  // The tool version is the caller's text: a quote or a newline in it must
+  // not break the document.
+  TriageStore Store;
+  Store.mergeRun(runWith({{10, 1}}));
+  const std::string Version = "1.2\"beta\n";
+  support::JsonValue Doc;
+  std::string Err;
+  ASSERT_TRUE(support::JsonValue::parse(toSarif(Store, Version), Doc, &Err))
+      << Err;
+  const support::JsonValue *Runs = Doc.get("runs");
+  ASSERT_TRUE(Runs && Runs->isArray() && !Runs->Array.empty());
+  const support::JsonValue *Tool = Runs->Array[0].get("tool");
+  ASSERT_NE(Tool, nullptr);
+  const support::JsonValue *Driver = Tool->get("driver");
+  ASSERT_NE(Driver, nullptr);
+  EXPECT_EQ(Driver->getString("version"), Version);
 }
 
 //===----------------------------------------------------------------------===//
