@@ -10,11 +10,17 @@
 #include "sampletrack/trace/TraceIO.h"
 
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <system_error>
 #include <thread>
+
+#include <unistd.h>
 
 using namespace sampletrack;
 using namespace sampletrack::api;
@@ -30,23 +36,215 @@ uint64_t nowNanos() {
 
 } // namespace
 
+uint64_t AnalysisSession::Unit::drive(std::span<const Event> Events,
+                                      std::span<const uint8_t> Ds,
+                                      std::span<const uint8_t> Owners) {
+  uint64_t T0 = nowNanos();
+  if (PerEvent)
+    D->processBatchGeneric(Events, Ds);
+  else if (D->shardCount())
+    D->processShardBatch(Events, Ds, Owners);
+  else
+    D->processBatch(Events, Ds);
+  uint64_t Dt = nowNanos() - T0;
+  Nanos += Dt;
+  return Dt;
+}
+
+void AnalysisSession::SpanTable::reset(prof::Tree *Tree, size_t NumUnits) {
+  T = Tree;
+  Nodes.assign(NumUnits, NoNode);
+}
+
+prof::NodeId AnalysisSession::SpanTable::node(const Unit &U, size_t I) {
+  if (Nodes[I] == NoNode)
+    Nodes[I] = T->internPath({"session", "analyze", U.D->name()});
+  return Nodes[I];
+}
+
+void AnalysisSession::SpanTable::record(const Unit &U, size_t I,
+                                        uint64_t Dt) {
+  // One measurement, two consumers: the EngineRun::WallNanos fold in
+  // Unit::drive and the profile span. Non-primary shards add nanos only.
+  if (T)
+    T->addSample(node(U, I), Dt, U.CountsProfile ? 1 : 0);
+}
+
 //===----------------------------------------------------------------------===//
 // ParallelExecutor
 //===----------------------------------------------------------------------===//
 
-/// Fans batches out to worker threads over a bounded broadcast ring.
+namespace {
+
+/// One pause of a spin-wait loop.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Spin-then-park waiting on a condition over atomics. A waiter spins for
+/// up to SpinNanos (hand-offs here are tens of microseconds apart, less
+/// than a sleep/wake round trip), then sleeps on a condition variable.
+/// The advancing side calls wake() after its store and pays for the mutex
+/// only when a waiter actually sleeps.
 ///
-/// The ingest thread fills a slot (events + the pre-drawn sampling
-/// decisions — copies, because the caller's span may die on return) and
-/// publishes it; every worker consumes every slot in publication order and
-/// feeds it to the units it owns (unit I belongs to worker I % NumWorkers;
-/// a unit is one detector drive — an unsharded lane, or one shard of a
-/// sharded lane). A slot is recycled once the slowest worker has moved
-/// past it, which bounds memory to RingSize batches and applies
-/// back-pressure to the ingest thread. Each unit is driven by exactly one
-/// thread for the whole run, in trace order, with the exact decision
-/// stream sequential mode would use — so results are bit-identical by
-/// construction, not by replayed luck.
+/// No lost wake-up: the waiter registers in Sleepers (seq_cst), then
+/// re-checks the condition with seq_cst loads; the waker stores, issues a
+/// seq_cst fence (its store may be a plain release), then reads Sleepers.
+/// So either the waiter sees the store or the waker sees the sleeper, and
+/// the waker's empty critical section orders its notify after the
+/// sleeper's wait began.
+class Parking {
+public:
+  template <typename Pred> void wait(Pred Ready) {
+    if (Ready())
+      return;
+    uint64_t Deadline = nowNanos() + SpinNanos;
+    for (unsigned I = 1;; ++I) {
+      cpuRelax();
+      if (Ready())
+        return;
+      if (I % 64 == 0 && nowNanos() > Deadline)
+        break;
+    }
+    std::unique_lock<std::mutex> L(M);
+    Sleepers.fetch_add(1);
+    Cv.wait(L, Ready);
+    Sleepers.fetch_sub(1);
+  }
+
+  /// Wakes every sleeper (\p All) or one of them.
+  void wake(bool All = true) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (Sleepers.load() == 0)
+      return;
+    { std::lock_guard<std::mutex> L(M); }
+    if (All)
+      Cv.notify_all();
+    else
+      Cv.notify_one();
+  }
+
+private:
+  static constexpr uint64_t SpinNanos = 100'000;
+  std::mutex M;
+  std::condition_variable Cv;
+  std::atomic<uint32_t> Sleepers{0};
+};
+
+/// Helper threads kept for the life of the process, so a parallel run does
+/// not start threads: on a shared host one thread start takes 30-200 us,
+/// and started one after another they held a short run's last helper back
+/// by up to 0.6 ms. A run leases idle helpers (the pool grows when none is
+/// idle) and hands each a job; a helper waits spin-then-park for the next.
+/// The pool is never destroyed, so no static destructor can race a job;
+/// idle helpers simply end with the process. A forked child inherits the
+/// pool but not its threads, so it starts a pool of its own.
+class HelperPool {
+public:
+  struct Helper {
+    /// Set (after Job) to hand the job over; cleared when it has run.
+    std::atomic<bool> Busy{false};
+    std::function<void()> Job;
+    Parking Assigned; ///< The helper waits here for a job.
+    Parking Finished; ///< The lessee waits here for the job's end.
+    std::thread T;
+  };
+
+  static HelperPool &forThisProcess() {
+    static std::atomic<HelperPool *> Current{nullptr};
+    HelperPool *P = Current.load();
+    while (!P || P->Pid != getpid()) {
+      HelperPool *Fresh = new HelperPool;
+      if (Current.compare_exchange_strong(P, Fresh))
+        return *Fresh;
+      delete Fresh; // Another thread installed one; P now holds it.
+    }
+    return *P;
+  }
+
+  /// Runs \p Job on an idle helper, starting one if none is idle (which
+  /// throws std::system_error if the thread cannot be started).
+  Helper &start(std::function<void()> Job) {
+    Helper *H;
+    {
+      std::lock_guard<std::mutex> L(M);
+      if (Idle.empty()) {
+        auto Fresh = std::make_unique<Helper>();
+        Fresh->T = std::thread([H = Fresh.get()] { loop(*H); });
+        Idle.push_back(Fresh.get());
+        All.push_back(std::move(Fresh));
+      }
+      H = Idle.back();
+      Idle.pop_back();
+    }
+    H->Job = std::move(Job);
+    H->Busy.store(true);
+    H->Assigned.wake();
+    return *H;
+  }
+
+  /// Waits for \p H's job to end and returns \p H to the idle set.
+  void finish(Helper &H) {
+    H.Finished.wait([&] { return !H.Busy.load(); });
+    std::lock_guard<std::mutex> L(M);
+    Idle.push_back(&H);
+  }
+
+private:
+  static void loop(Helper &H) {
+    for (;;) {
+      H.Assigned.wait([&] { return H.Busy.load(); });
+      H.Job();
+      H.Job = nullptr;
+      H.Busy.store(false);
+      H.Finished.wake();
+    }
+  }
+
+  const pid_t Pid = getpid();
+  std::mutex M;
+  std::vector<Helper *> Idle;               ///< Guarded by M.
+  std::vector<std::unique_ptr<Helper>> All; ///< Guarded by M.
+};
+
+} // namespace
+
+/// Fans batches out to NumWorkers threads over a bounded broadcast ring.
+///
+/// The workers are the ingest thread itself plus NumWorkers - 1 helper
+/// threads, so a run never has more runnable analysis threads than
+/// NumWorkers. The ingest thread fills a slot (the pre-drawn sampling
+/// decisions, the shard routing, and the events or a view of them) and
+/// publishes it. Every unit (one detector drive: an unsharded lane, or one
+/// shard of a sharded lane) then consumes every slot in publication order,
+/// one batch at a time, under a per-unit cursor: a worker claims a unit
+/// whose cursor is behind the stream, drives it over its next batch and
+/// advances the cursor. A worker prefers its own units (I % NumWorkers)
+/// and otherwise takes the unit furthest behind, so the ingest thread's
+/// own share of decoding and sampling is spread over every worker instead
+/// of holding back one unit.
+///
+/// A slot is recycled once every unit is past it, which bounds memory to
+/// RingSize batches and applies back-pressure: a full ring sends the
+/// ingest thread to drive pending batches itself, and it parks only when
+/// the remaining work is in other workers' hands. Idle helpers and the
+/// ingest thread wait spin-then-park (\ref Parking), each woken only by
+/// what it waits for; no lock is taken per batch. Thread start-up stays off
+/// the run's path: helpers come from a process-wide pool
+/// (\ref HelperPool), and each builds its own units' detectors while the
+/// ingest thread is already publishing.
+///
+/// A claim (an acquire CAS on the unit's cursor) and its release (a
+/// release store) order every hand-off of a unit between threads, so each
+/// unit is driven by one thread at a time, in trace order, with the exact
+/// decision stream sequential mode would use — results are bit-identical
+/// by construction, not by replayed luck.
 class AnalysisSession::ParallelExecutor {
 public:
   struct Slot {
@@ -56,122 +254,213 @@ public:
     std::span<const Event> Events;
     std::vector<Event> Storage;
     std::vector<uint8_t> Decisions;
+    /// ShardMap::route of Events; empty when the run is unsharded.
+    std::vector<uint8_t> Owners;
   };
 
-  ParallelExecutor(std::vector<Unit> &Units, size_t NumWorkers,
-                   prof::Profiler *Prof)
-      : Units(Units), NumWorkers(NumWorkers), Prof(Prof),
-        Consumed(NumWorkers, 0) {
+  explicit ParallelExecutor(AnalysisSession &Session)
+      : Session(Session), Units(Session.Units),
+        NumWorkers(Session.RunWorkers), Cursors(Units.size()) {
     assert(NumWorkers > 0 && NumWorkers <= Units.size());
-    Workers.reserve(NumWorkers);
-    for (size_t W = 0; W < NumWorkers; ++W)
-      Workers.emplace_back([this, W] { workerMain(W); });
+    Ingest.Index = NumWorkers - 1;
+    Ingest.Spans.reset(Session.IngestTree, Units.size());
+    HelperPool &Pool = HelperPool::forThisProcess();
+    for (size_t W = 0; W + 1 < NumWorkers; ++W) {
+      // A helper that cannot be started only costs parallelism: any worker
+      // takes over units nobody drives.
+      try {
+        Helpers.push_back(&Pool.start([this, W] { helperMain(W); }));
+      } catch (const std::system_error &) {
+        break;
+      }
+    }
   }
 
   ~ParallelExecutor() { shutdown(); }
 
-  /// Blocks until a ring slot is free for the ingest thread to fill. The
-  /// returned slot is untouched by workers until \ref publish.
-  Slot &acquireSlot() {
-    std::unique_lock<std::mutex> L(M);
-    SpaceCv.wait(L, [this] { return Published - minConsumed() < RingSize; });
-    return Ring[Published % RingSize];
+  /// The next ring slot for the ingest thread to fill. While a unit still
+  /// needs the batch that slot holds, the ingest thread drives pending
+  /// batches itself, adding the time that took to \p DriveNanos. Workers
+  /// never read the slot until \ref publish.
+  Slot &acquireSlot(uint64_t &DriveNanos) {
+    const uint64_t Next = Published.load(std::memory_order_relaxed);
+    auto Free = [&] {
+      if (Next < RingSize)
+        return true;
+      for (const Cursor &C : Cursors)
+        if ((C.State.load() >> 1) <= Next - RingSize)
+          return false;
+      return true;
+    };
+    while (!Free()) {
+      if (runOne(Ingest, &DriveNanos))
+        continue;
+      SlotFreed.wait([&] { return Free() || claimable(); });
+    }
+    return Ring[Next % RingSize];
   }
 
   /// Makes the slot filled after \ref acquireSlot visible to every worker.
   void publish() {
-    {
-      std::lock_guard<std::mutex> L(M);
-      ++Published;
-    }
-    DataCv.notify_all();
+    Published.store(Published.load(std::memory_order_relaxed) + 1);
+    WorkReady.wake();
   }
 
-  /// Publishes end-of-stream and joins the workers (idempotent). After this
-  /// returns, every lane has consumed every published batch.
+  /// Publishes end-of-stream, works off pending batches alongside the
+  /// helpers, and joins them (idempotent). After this returns, every unit
+  /// has consumed every published batch.
   void shutdown() {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Eof = true;
-    }
-    DataCv.notify_all();
-    for (std::thread &T : Workers)
-      if (T.joinable())
-        T.join();
-    Workers.clear();
+    Eof.store(true);
+    WorkReady.wake();
+    while (runOne(Ingest))
+      ;
+    HelperPool &Pool = HelperPool::forThisProcess();
+    for (HelperPool::Helper *H : Helpers)
+      Pool.finish(*H);
+    Helpers.clear();
   }
 
 private:
-  uint64_t minConsumed() const {
-    uint64_t Min = Consumed[0];
-    for (uint64_t C : Consumed)
-      Min = std::min(Min, C);
-    return Min;
+  /// A unit's progress, (batches consumed << 1) | claimed. Padded so
+  /// workers claiming different units never share a cache line.
+  struct alignas(64) Cursor {
+    std::atomic<uint64_t> State{0};
+  };
+
+  /// A worker's identity: its index (it prefers units I % NumWorkers ==
+  /// Index) and where it records the spans of the units it drives.
+  struct Worker {
+    size_t Index = 0;
+    SpanTable Spans;
+  };
+
+  static constexpr uint64_t Claimed = 1;
+
+  /// True if some unit is unclaimed and behind the published stream.
+  bool claimable() const {
+    const uint64_t Pub = Published.load();
+    for (const Cursor &C : Cursors) {
+      uint64_t S = C.State.load();
+      if (!(S & Claimed) && (S >> 1) < Pub)
+        return true;
+    }
+    return false;
   }
 
-  void workerMain(size_t W) {
-    // Each worker records into its own tree; units intern their span under
-    // the same session/analyze path the sequential mode uses, so the merged
-    // report is identical in shape whichever thread drove the unit.
-    if (Prof) {
-      prof::Tree *T = Prof->makeTree("worker-" + std::to_string(W));
-      for (size_t I = W; I < Units.size(); I += NumWorkers) {
-        Unit &U = Units[I];
-        U.PT = T;
-        U.PNode = T->internPath({"session", "analyze", U.ProfLabel});
+  /// Claims one unit that is behind the stream, drives it over its next
+  /// batch (adding the time to \p DriveNanos, if given), and releases it.
+  /// False if no unit was claimable.
+  bool runOne(Worker &W, uint64_t *DriveNanos = nullptr) {
+    const uint64_t Pub = Published.load();
+    size_t Pick = Units.size();
+    uint64_t PickState = 0;
+    auto Consider = [&](size_t I) {
+      uint64_t S = Cursors[I].State.load(std::memory_order_relaxed);
+      if (!(S & Claimed) && (S >> 1) < Pub &&
+          (Pick == Units.size() || S < PickState)) {
+        Pick = I;
+        PickState = S;
       }
+    };
+    // Own units first (they stay on one thread's caches); otherwise the
+    // unit furthest behind, which also frees ring slots soonest.
+    for (size_t I = W.Index; I < Units.size(); I += NumWorkers)
+      Consider(I);
+    if (Pick == Units.size())
+      for (size_t I = 0; I < Units.size(); ++I)
+        Consider(I);
+    if (Pick == Units.size())
+      return false;
+    std::atomic<uint64_t> &State = Cursors[Pick].State;
+    if (!State.compare_exchange_strong(PickState, PickState | Claimed,
+                                       std::memory_order_acquire))
+      return true; // Another worker took it; look again.
+    Unit &U = Units[Pick];
+    if (!U.D)
+      Session.prepareUnit(U);
+    // Safe without a lock: the ingest thread never refills this slot
+    // while the unit's cursor is at or before it.
+    const uint64_t Batch = PickState >> 1;
+    const Slot &S = Ring[Batch % RingSize];
+    uint64_t Dt = U.drive(S.Events, S.Decisions, S.Owners);
+    W.Spans.record(U, Pick, Dt);
+    if (DriveNanos)
+      *DriveNanos += Dt;
+    State.store((Batch + 1) << 1, std::memory_order_release);
+    // The ingest thread may be waiting for this slot; a helper, for this
+    // unit's next batch.
+    SlotFreed.wake();
+    if (Batch + 1 < Published.load())
+      WorkReady.wake(/*All=*/false);
+    return true;
+  }
+
+  void helperMain(size_t Index) {
+    // Each helper records into its own tree; units intern their span under
+    // the same session/analyze path everywhere, so the merged report is
+    // identical in shape whichever thread drove a unit.
+    Worker W;
+    W.Index = Index;
+    W.Spans.reset(Session.Prof
+                      ? Session.Prof->makeTree("worker-" + std::to_string(Index))
+                      : nullptr,
+                  Units.size());
+    // Build this helper's own detectors on this thread, so their state is
+    // allocated where it is used. A claim guards each build: a unit another
+    // worker took first is built by that worker.
+    for (size_t I = Index; I < Units.size(); I += NumWorkers) {
+      uint64_t S = Cursors[I].State.load(std::memory_order_relaxed);
+      if (S & Claimed ||
+          !Cursors[I].State.compare_exchange_strong(
+              S, S | Claimed, std::memory_order_acquire))
+        continue;
+      if (!Units[I].D)
+        Session.prepareUnit(Units[I]);
+      Cursors[I].State.store(S, std::memory_order_release);
     }
-    uint64_t Mine = 0;
+    SlotFreed.wake();
+    WorkReady.wake();
     for (;;) {
-      {
-        std::unique_lock<std::mutex> L(M);
-        DataCv.wait(L, [&] { return Published > Mine || Eof; });
-        if (Published == Mine)
-          break; // Eof and fully drained.
-      }
-      // Safe without the lock: the producer never rewrites slot
-      // Mine % RingSize until this worker's Consumed count passes it.
-      Slot &S = Ring[Mine % RingSize];
-      std::span<const Event> Events = S.Events;
-      std::span<const uint8_t> Ds(S.Decisions);
-      for (size_t I = W; I < Units.size(); I += NumWorkers) {
-        Unit &U = Units[I];
-        uint64_t T0 = nowNanos();
-        U.feed(Events, Ds);
-        uint64_t Dt = nowNanos() - T0;
-        U.Nanos += Dt;
-        // One measurement, two consumers: the EngineRun::WallNanos fold
-        // above and the profile span. Non-primary shards add nanos only.
-        if (U.PT)
-          U.PT->addSample(U.PNode, Dt, U.CountsProfile ? 1 : 0);
-      }
-      {
-        std::lock_guard<std::mutex> L(M);
-        Consumed[W] = ++Mine;
-      }
-      SpaceCv.notify_one();
+      if (runOne(W))
+        continue;
+      bool Stop = false;
+      WorkReady.wait([&] {
+        // Eof first: once it reads true, Published is final.
+        Stop = Eof.load();
+        return Stop || claimable();
+      });
+      // At end of stream, whatever is not claimable is either done or in
+      // the hands of a worker that will finish it.
+      if (Stop && !claimable())
+        return;
     }
   }
 
   static constexpr size_t RingSize = 8;
 
+  const AnalysisSession &Session;
   std::vector<Unit> &Units;
-  size_t NumWorkers;
-  prof::Profiler *Prof;
+  const size_t NumWorkers;
   std::array<Slot, RingSize> Ring;
 
-  std::mutex M;
-  std::condition_variable SpaceCv; ///< Ingest thread waits for ring space.
-  std::condition_variable DataCv;  ///< Workers wait for published batches.
-  uint64_t Published = 0;
-  bool Eof = false;
-  std::vector<uint64_t> Consumed; ///< Batches fully processed, per worker.
-  std::vector<std::thread> Workers;
+  alignas(64) std::atomic<uint64_t> Published{0};
+  std::atomic<bool> Eof{false};
+  std::vector<Cursor> Cursors;
+  /// Helpers wait for claimable work (a publish, or a released unit with
+  /// batches left); the ingest thread waits for a free slot or claimable
+  /// work (any release).
+  Parking WorkReady;
+  Parking SlotFreed;
+  Worker Ingest;
+  /// Leased from HelperPool; each runs helperMain until shutdown.
+  std::vector<HelperPool::Helper *> Helpers;
 };
 
 AnalysisSession::AnalysisSession() = default;
 AnalysisSession::AnalysisSession(SessionConfig C) : Cfg(std::move(C)) {}
-AnalysisSession::~AnalysisSession() = default;
+// Joins the helpers first: a run abandoned without finish() still drains,
+// and its workers record into the profiler declared after Par.
+AnalysisSession::~AnalysisSession() { Par.reset(); }
 
 SessionResult sampletrack::api::stripTiming(SessionResult R) {
   R.WallNanos = 0;
@@ -263,53 +552,38 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
   }
 
   // Shards < 2 means one detector per lane (1 shard is just sequential
-  // with extra bookkeeping, so it is normalized away).
-  size_t Shards = Cfg.Shards >= 2 ? Cfg.Shards : 0;
+  // with extra bookkeeping, so it is normalized away); the batch routing
+  // names a shard in one byte, which caps the count.
+  size_t Shards =
+      Cfg.Shards >= 2 ? std::min<size_t>(Cfg.Shards, ShardMap::MaxShards) : 0;
   for (EngineKind K : Cfg.Engines) {
     Lane L;
     L.Shards = Shards;
     L.FirstUnit = Units.size();
     L.NumUnits = Shards ? Shards : 1;
     for (size_t I = 0; I < L.NumUnits; ++I) {
-      std::unique_ptr<Detector> D = createDetector(K, RunThreads);
-      if (Shards)
-        // Every shard keeps the full lane sink capacity: the merge re-caps
-        // (triage::mergeShardSummaries), which is what makes truncation
-        // land on exactly the signatures sequential would have dropped.
-        D->setShard(static_cast<uint32_t>(I),
-                    static_cast<uint32_t>(Shards));
-      if (!Cfg.PoolingEnabled)
-        D->setPoolingEnabled(false);
-      if (Cfg.TriageCapacity)
-        D->setRaceCapacity(Cfg.TriageCapacity);
       Unit U;
-      U.D = D.get();
+      U.Kind = K;
+      U.Shard = static_cast<uint32_t>(I);
       U.PerEvent = Cfg.PerEventDispatch;
       // Only the lane's primary drive counts profile calls (shard-count
       // invariance); every drive contributes nanos.
       U.CountsProfile = I == 0;
-      if (IngestTree)
-        U.ProfLabel = D->name();
       Units.push_back(std::move(U));
-      L.Owned.push_back(std::move(D));
     }
-    Lanes.push_back(std::move(L));
+    Lanes.push_back(L);
   }
   for (Detector *D : BorrowedDetectors) {
     // Borrowed detectors keep their owner's pooling configuration — and
     // never shard (the caller reads races() off the full variable space).
     Lane L;
-    L.Borrowed = D;
     L.FirstUnit = Units.size();
-    L.NumUnits = 1;
     Unit U;
     U.D = D;
     U.PerEvent = Cfg.PerEventDispatch;
     U.CountsProfile = true;
-    if (IngestTree)
-      U.ProfLabel = D->name();
     Units.push_back(std::move(U));
-    Lanes.push_back(std::move(L));
+    Lanes.push_back(L);
   }
 
   if (BorrowedSampler)
@@ -323,20 +597,36 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
   SampleSize = 0;
   EventsProcessed = 0;
   IngestNanos = 0;
+  Route = Shards ? ShardMap(static_cast<uint32_t>(Shards)) : ShardMap();
   RunWorkers = std::min(Cfg.NumWorkers, Units.size());
-  if (IngestTree && !RunWorkers)
-    // Sequential mode drives every unit on the ingest thread; the workers
-    // intern the identical session/analyze/<engine> path into their own
-    // trees, so the merged report's shape is mode-independent.
-    for (Unit &U : Units) {
-      U.PT = IngestTree;
-      U.PNode = IngestTree->internPath({"session", "analyze", U.ProfLabel});
-    }
+  // Sequential mode builds every detector here. In parallel mode the
+  // ingest thread builds only its own units (I % RunWorkers ==
+  // RunWorkers - 1) before the helpers start; each helper builds its own.
+  IngestSpans.reset(IngestTree, Units.size());
+  for (size_t I = RunWorkers ? RunWorkers - 1 : 0; I < Units.size();
+       I += RunWorkers ? RunWorkers : 1)
+    prepareUnit(Units[I]);
   if (RunWorkers)
-    Par = std::make_unique<ParallelExecutor>(Units, RunWorkers, Prof.get());
+    Par = std::make_unique<ParallelExecutor>(*this);
   StartNanos = nowNanos();
   Active = true;
   return true;
+}
+
+void AnalysisSession::prepareUnit(Unit &U) const {
+  if (U.D)
+    return;
+  U.Owned = createDetector(U.Kind, RunThreads);
+  if (Route.count())
+    // Every shard keeps the full lane sink capacity: the merge re-caps
+    // (triage::mergeShardSummaries), which is what makes truncation land
+    // on exactly the signatures sequential would have dropped.
+    U.Owned->setShard(U.Shard, Route.count());
+  if (!Cfg.PoolingEnabled)
+    U.Owned->setPoolingEnabled(false);
+  if (Cfg.TriageCapacity)
+    U.Owned->setRaceCapacity(Cfg.TriageCapacity);
+  U.D = U.Owned.get();
 }
 
 void AnalysisSession::process(std::span<const Event> Batch) {
@@ -350,7 +640,12 @@ void AnalysisSession::process(std::span<const Event> Batch) {
   // same seed — sequential or parallel alike. One loop serves both modes
   // (only the destination buffer differs) so they cannot drift apart.
   uint64_t T0 = nowNanos();
-  ParallelExecutor::Slot *Slot = Par ? &Par->acquireSlot() : nullptr;
+  // In parallel mode a full ring has the ingest thread drive pending
+  // batches; that time is the units' (their WallNanos and analyze spans),
+  // not ingest.
+  uint64_t Driven = 0;
+  ParallelExecutor::Slot *Slot = Par ? &Par->acquireSlot(Driven) : nullptr;
+  uint64_t TFill = Slot ? nowNanos() : T0;
   if (Slot) {
     if (StableSource) {
       // The source outlives the run (an in-memory Trace): workers can read
@@ -370,24 +665,29 @@ void AnalysisSession::process(std::span<const Event> Batch) {
     Ds[I] = Sampled ? 1 : 0;
     SampleSize += Sampled ? 1 : 0;
   }
+  // Sharded runs route the batch once here; every shard of every lane
+  // reads the same owners instead of re-deriving them.
+  std::vector<uint8_t> &Os = Slot ? Slot->Owners : Owners;
+  if (Route.count()) {
+    Os.resize(Batch.size());
+    Route.route(Batch, Os);
+  }
   if (Slot)
     Par->publish();
   uint64_t T1 = nowNanos();
-  IngestNanos += T1 - T0;
+  IngestNanos += T1 - T0 - Driven;
   // The profile's session/ingest span is the same measurement IngestNanos
-  // accumulates — folded, not re-measured.
-  if (IngestTree)
-    IngestTree->addSpan(IngestNode, T0, T1);
+  // accumulates — folded, not re-measured: the wait for a slot (less the
+  // driving) as nanos, the fill as the timeline span.
+  if (IngestTree) {
+    if (TFill > T0)
+      IngestTree->addSample(IngestNode, TFill - T0 - Driven, 0);
+    IngestTree->addSpan(IngestNode, TFill, T1);
+  }
   if (!Slot) {
     std::span<const uint8_t> DsView(Decisions.data(), Batch.size());
-    for (Unit &U : Units) {
-      uint64_t T0Unit = nowNanos();
-      U.feed(Batch, DsView);
-      uint64_t Dt = nowNanos() - T0Unit;
-      U.Nanos += Dt;
-      if (U.PT)
-        U.PT->addSample(U.PNode, Dt, U.CountsProfile ? 1 : 0);
-    }
+    for (size_t I = 0; I < Units.size(); ++I)
+      IngestSpans.record(Units[I], I, Units[I].drive(Batch, DsView, Os));
   }
   EventsProcessed += Batch.size();
 }
@@ -402,16 +702,26 @@ SessionResult AnalysisSession::finish() {
   R.EventsProcessed = EventsProcessed;
   R.NumThreads = RunThreads;
   R.NumWorkers = RunWorkers;
-  R.Shards = Cfg.Shards >= 2 ? Cfg.Shards : 0;
+  R.Shards = Route.count();
   R.IngestNanos = IngestNanos;
   R.WallNanos = nowNanos() - StartNanos;
   uint64_t FinishT0 = IngestTree ? nowNanos() : 0;
+  // A unit no worker ever claimed (a run with no batches) still reports,
+  // and its span exists in every mode.
+  for (size_t I = 0; I < Units.size(); ++I) {
+    prepareUnit(Units[I]);
+    if (IngestTree)
+      IngestSpans.node(Units[I], I);
+  }
   R.Engines.reserve(Lanes.size());
   std::vector<triage::TriageSummary> LaneSummaries;
   LaneSummaries.reserve(Lanes.size());
   for (Lane &L : Lanes) {
     EngineRun E;
-    Detector *Primary = L.primary();
+    // The result-bearing detector: shard 0 (whose sink feeds the merge
+    // first) or the single unsharded/borrowed detector.
+    Unit &First = Units[L.FirstUnit];
+    Detector *Primary = First.D;
     E.Engine = Primary->name();
     E.SamplerName = S->name();
     E.SampleSize = SampleSize;
@@ -431,8 +741,8 @@ SessionResult AnalysisSession::finish() {
       // (potentially million-entry) race lists. Borrowed detectors keep
       // theirs — the caller owns the detector and reads races() directly,
       // so no copy is made here.
-      if (!L.Owned.empty())
-        E.Races = L.Owned.front()->takeRaces();
+      if (First.Owned)
+        E.Races = First.Owned->takeRaces();
     } else {
       // Sharded lane: fold the shards back into exactly the unsharded
       // numbers. Metrics sum field-wise (the dispatch contract makes the
@@ -441,7 +751,8 @@ SessionResult AnalysisSession::finish() {
       // the position-ordered re-capping of mergeShardSummaries.
       std::vector<triage::TriageSummary> ShardSummaries;
       ShardSummaries.reserve(L.NumUnits);
-      for (std::unique_ptr<Detector> &D : L.Owned) {
+      for (size_t I = 0; I < L.NumUnits; ++I) {
+        const Detector *D = Units[L.FirstUnit + I].D;
         E.Stats += D->metrics();
         E.NumRacyLocations += D->racyLocations().size();
         ShardSummaries.push_back(D->raceSink().summary());

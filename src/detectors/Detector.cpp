@@ -13,8 +13,8 @@
 using namespace sampletrack;
 
 void Detector::processEvent(const Event &E, bool Sampled) {
-  assert(ShardCnt <= 1 && "sharded instances are driven via processBatch / "
-                          "processBatchGeneric, not processEvent");
+  assert(!shardCount() && "sharded instances are driven via "
+                         "processShardBatch / processBatchGeneric");
 #ifndef NDEBUG
   DriverScope Guard(*this); // Lane-affinity: no concurrent re-entry.
 #endif
@@ -64,7 +64,7 @@ void Detector::processEventSharded(const Event &E, bool Sampled) {
   switch (E.Kind) {
   case OpKind::Read:
   case OpKind::Write:
-    if (static_cast<uint32_t>(E.var() % ShardCnt) == ShardIdx) {
+    if (static_cast<uint32_t>(E.var() % shardCount()) == ShardIdx) {
       ++Stats.Events;
       ++Stats.Accesses;
       if (Sampled)
@@ -125,10 +125,18 @@ void Detector::processBatch(std::span<const Event> Events,
   processBatchGeneric(Events, Sampled);
 }
 
+void Detector::processShardBatch(std::span<const Event> Events,
+                                 std::span<const uint8_t> Sampled,
+                                 std::span<const uint8_t> Owners) {
+  assert(Events.size() == Owners.size() && "one owner per event");
+  (void)Owners;
+  processBatchGeneric(Events, Sampled);
+}
+
 void Detector::processBatchGeneric(std::span<const Event> Events,
                                    std::span<const uint8_t> Sampled) {
   assert(Events.size() == Sampled.size() && "one decision per event");
-  if (ShardCnt >= 2) {
+  if (shardCount()) {
     for (size_t I = 0, N = Events.size(); I < N; ++I)
       processEventSharded(Events[I], Sampled[I] != 0);
     return;

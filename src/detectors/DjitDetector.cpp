@@ -21,10 +21,14 @@ DjitDetector::DjitDetector(size_t NumThreads) : Detector(NumThreads) {
 void DjitDetector::processBatch(std::span<const Event> Events,
                                 std::span<const uint8_t> Sampled) {
   // Full analysis processes unsampled accesses too (it ignores S).
-  if (shardCount())
-    batchDispatchSharded</*SkipUnsampled=*/false>(*this, Events, Sampled);
-  else
-    batchDispatch</*SkipUnsampled=*/false>(*this, Events, Sampled);
+  batchDispatch</*SkipUnsampled=*/false>(*this, Events, Sampled);
+}
+
+void DjitDetector::processShardBatch(std::span<const Event> Events,
+                                     std::span<const uint8_t> Sampled,
+                                     std::span<const uint8_t> Owners) {
+  batchDispatchSharded</*SkipUnsampled=*/false, /*ForeignHook=*/false>(
+      *this, Events, Sampled, Owners);
 }
 
 VectorClock &DjitDetector::syncClock(SyncId S) {

@@ -22,10 +22,14 @@ TreeClockDetector::TreeClockDetector(size_t NumThreads)
 
 void TreeClockDetector::processBatch(std::span<const Event> Events,
                                      std::span<const uint8_t> Sampled) {
-  if (shardCount())
-    batchDispatchSharded</*SkipUnsampled=*/true>(*this, Events, Sampled);
-  else
-    batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
+  batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
+}
+
+void TreeClockDetector::processShardBatch(std::span<const Event> Events,
+                                          std::span<const uint8_t> Sampled,
+                                          std::span<const uint8_t> Owners) {
+  batchDispatchSharded</*SkipUnsampled=*/true, /*ForeignHook=*/false>(
+      *this, Events, Sampled, Owners);
 }
 
 TreeClockDetector::SyncState &TreeClockDetector::syncState(SyncId S) {

@@ -94,7 +94,8 @@ struct SessionResult {
   uint64_t EventsProcessed = 0;
   /// Thread-universe size the detectors were built with.
   size_t NumThreads = 0;
-  /// Lane worker threads the run actually used (0 = sequential mode).
+  /// Lane worker threads the run actually used, the ingest thread included
+  /// (0 = sequential mode).
   size_t NumWorkers = 0;
   /// Intra-engine shard count the run used (0 = unsharded). With S shards
   /// and K engine lanes the session drives K*S shard detectors; NumWorkers
@@ -102,10 +103,12 @@ struct SessionResult {
   size_t Shards = 0;
   /// End-to-end wall-clock nanoseconds, begin() to finish().
   uint64_t WallNanos = 0;
-  /// Nanoseconds the ingest thread spent drawing sampling decisions and (in
-  /// parallel mode) handing batches off to the workers. In sequential mode
-  /// this is pure sampling cost; in parallel mode it also absorbs
-  /// back-pressure stalls when the slowest lane falls behind.
+  /// Nanoseconds the ingest thread spent drawing sampling decisions, routing
+  /// batches to shards and (in parallel mode) handing batches off to the
+  /// workers. In sequential unsharded mode this is pure sampling cost; in
+  /// parallel mode it also absorbs back-pressure stalls when the slowest
+  /// unit falls behind, but not the batches the ingest thread drives
+  /// itself meanwhile (those count toward their lane's WallNanos).
   uint64_t IngestNanos = 0;
   /// Merged span profile (empty unless SessionConfig::ProfilingEnabled).
   /// The tree's shape, counts and counters are deterministic — identical
@@ -138,12 +141,14 @@ SessionResult stripTiming(SessionResult R);
 ///
 /// The ingest side is single-threaded: callers feeding events from several
 /// threads serialize through \ref SessionHooks. With
-/// SessionConfig::NumWorkers > 0 the detector work runs on worker threads
-/// behind a bounded hand-off ring; with SessionConfig::Shards >= 2 each
-/// engine lane is additionally split into per-shard detectors partitioning
-/// the variable space (N lanes x S shards schedulable drives). Every
-/// detector instance is still driven by exactly one thread in trace order,
-/// so no detector state is ever shared.
+/// SessionConfig::NumWorkers > 0 the detector work runs on the workers (the
+/// ingest thread and NumWorkers - 1 helper threads) behind a bounded
+/// hand-off ring; with SessionConfig::Shards >= 2 each engine lane is
+/// additionally split into per-shard detectors partitioning the variable
+/// space (N lanes x S shards schedulable drives). Every detector instance
+/// is still driven by one thread at a time, in trace order, with a
+/// happens-before edge at each hand-off, so no detector state is ever
+/// shared.
 class AnalysisSession {
 public:
   AnalysisSession(); // Out of line: ParallelExecutor is incomplete here.
@@ -217,58 +222,68 @@ private:
   /// distributes over workers — N lanes x S shards flatten into N*S units,
   /// so Shards composes with NumWorkers with no second fan-out layer.
   struct Unit {
+    /// The detector this unit drives: \ref Owned, or a borrowed
+    /// (addDetector) one. Null until \ref prepareUnit builds it.
     Detector *D = nullptr;
+    /// Session-owned detector; null for a borrowed lane.
+    std::unique_ptr<Detector> Owned;
+    /// What \ref prepareUnit builds for a session-owned unit: the engine
+    /// and, in a sharded lane, the shard index.
+    EngineKind Kind = EngineKind::FastTrack;
+    uint32_t Shard = 0;
     uint64_t Nanos = 0;
     /// Differential-harness axis (SessionConfig::PerEventDispatch): route
     /// this unit through the per-event reference loop instead of the
     /// engine's devirtualized batch override.
     bool PerEvent = false;
-    /// Profiling (null when disabled): the driving thread's tree and this
-    /// unit's session/analyze/<engine> node in it, assigned by whichever
-    /// thread owns the unit (ingest thread in sequential mode, the owning
-    /// worker in parallel mode).
-    prof::Tree *PT = nullptr;
-    prof::NodeId PNode = 0;
     /// Only the lane's primary drive (shard 0 / unsharded) bumps the span
     /// count; other shards contribute nanos only — that keeps the merged
     /// count equal to the batch count at every shard count.
     bool CountsProfile = false;
-    /// Engine name for interning PNode (workers intern lazily at startup).
-    std::string ProfLabel;
 
-    void feed(std::span<const Event> Events, std::span<const uint8_t> Ds) {
-      if (PerEvent)
-        D->processBatchGeneric(Events, Ds);
-      else
-        D->processBatch(Events, Ds);
-    }
+    /// Feeds one batch to D (a shard with the batch's routing \p Owners),
+    /// folds the elapsed time into Nanos and returns it.
+    uint64_t drive(std::span<const Event> Events,
+                   std::span<const uint8_t> Ds,
+                   std::span<const uint8_t> Owners);
   };
 
-  /// One reported detector lane (one EngineRun): its detectors (one, or
-  /// one per shard) plus the [FirstUnit, FirstUnit+NumUnits) slice of
-  /// \ref Units that drives them.
+  /// Where one thread records the unit spans it drives: its profile tree
+  /// (null when profiling is off) and each unit's session/analyze/<engine>
+  /// node in it, interned on first use. Every thread interns the same
+  /// paths, so the merged report's shape does not depend on which thread
+  /// drove a unit.
+  struct SpanTable {
+    static constexpr prof::NodeId NoNode = ~prof::NodeId(0);
+    prof::Tree *T = nullptr;
+    std::vector<prof::NodeId> Nodes;
+
+    void reset(prof::Tree *Tree, size_t NumUnits);
+    prof::NodeId node(const Unit &U, size_t I);
+    void record(const Unit &U, size_t I, uint64_t Dt);
+  };
+
+  /// One reported detector lane (one EngineRun): the
+  /// [FirstUnit, FirstUnit+NumUnits) slice of \ref Units that drives its
+  /// detectors (one, or one per shard). Borrowed lanes never shard: the
+  /// caller reads races() off their own detector, which must therefore see
+  /// the full variable space.
   struct Lane {
-    /// Session-owned detectors; empty for a borrowed (addDetector) lane.
-    /// Borrowed lanes never shard: the caller reads races() off their own
-    /// detector, which must therefore see the full variable space.
-    std::vector<std::unique_ptr<Detector>> Owned;
-    Detector *Borrowed = nullptr;
     size_t FirstUnit = 0;
     size_t NumUnits = 1;
     /// Shard count of this lane (0 = unsharded).
     size_t Shards = 0;
-
-    /// The result-bearing detector: shard 0 (whose sink feeds the merge
-    /// first) or the single unsharded/borrowed detector.
-    Detector *primary() const {
-      return Borrowed ? Borrowed : Owned.front().get();
-    }
   };
 
   /// The parallel engine (defined in AnalysisSession.cpp): a bounded
-  /// single-producer broadcast ring plus one thread per worker, each worker
-  /// owning a fixed subset of units.
+  /// single-producer broadcast ring with a cursor per unit, driven by the
+  /// ingest thread and NumWorkers - 1 helper threads.
   class ParallelExecutor;
+
+  /// Builds the session-owned detector of \p U (a no-op for a borrowed
+  /// lane). Parallel mode calls it on the thread that first drives the
+  /// unit, so the detector's state is allocated where it is used.
+  void prepareUnit(Unit &U) const;
 
   /// Shared driver behind run(Trace) and the text-stream fallback:
   /// begin + batched feed + finish, propagating begin() failures.
@@ -288,8 +303,14 @@ private:
   std::vector<Lane> Lanes;
   std::vector<Unit> Units;
   std::unique_ptr<ParallelExecutor> Par;
+  /// Sequential mode's unit spans, in the ingest thread's tree.
+  SpanTable IngestSpans;
   Sampler *S = nullptr;
   std::vector<uint8_t> Decisions;
+  /// The run's variable partition (count() == 0 when unsharded) and, in
+  /// sequential mode, the current batch's routing through it.
+  ShardMap Route;
+  std::vector<uint8_t> Owners;
   uint64_t SampleSize = 0;
   uint64_t EventsProcessed = 0;
   uint64_t IngestNanos = 0;

@@ -61,27 +61,41 @@ struct SessionConfig {
   /// Events decoded per batch when streaming from a file/istream source.
   size_t BatchSize = 4096;
   /// Detector-lane worker threads. 0 runs every lane inline on the ingest
-  /// thread (the classic sequential mode); N > 0 fans batches out to
-  /// min(N, #lanes) workers over a bounded hand-off ring, each worker
-  /// owning a fixed subset of lanes. The sampler always runs on the ingest
-  /// thread and its decision stream is shipped alongside each batch, so
-  /// every lane sees the identical event + decision sequence regardless of
-  /// the worker count: results are bit-identical to sequential mode by
-  /// construction (only wall-clock timing fields differ).
+  /// thread (the classic sequential mode); N > 0 fans batches out over a
+  /// bounded hand-off ring to min(N, #units) workers (a unit is a lane, or
+  /// one shard of a sharded lane). The ingest thread is one of them and
+  /// the other N - 1 are helper threads, kept in a process-wide pool
+  /// between runs, so the run never has more than N runnable analysis
+  /// threads and starts none. Each worker prefers its own units and
+  /// takes over the unit furthest behind when it runs out of work, one
+  /// batch at a time. The sampler always runs on the ingest thread and its
+  /// decision stream is shipped alongside each batch, so every unit sees
+  /// the identical event + decision sequence regardless of the worker
+  /// count: results are bit-identical to sequential mode by construction
+  /// (only wall-clock timing fields differ).
   size_t NumWorkers = 0;
   /// Intra-engine sharding: partition each engine lane's variable shadow
   /// state into S detectors by VarId % S. Access events are analyzed by
   /// the owning shard only; sync events are replicated into every shard
   /// (the per-thread clock state is lightweight, so replication beats
   /// cross-shard coordination); per-shard race sinks and metrics merge
-  /// back into one EngineRun. 0 or 1 = unsharded. Results are
-  /// bit-identical to unsharded runs by construction — signature sets,
-  /// metrics, racesTruncated, everything but the timing/shape echoes.
-  /// Composes with NumWorkers: N lanes x S shards yield N*S schedulable
-  /// units, so a *single* engine on a huge trace finally scales past one
-  /// core (the fig5b plateau ROADMAP item 1 calls out). Sharding pays
-  /// when access work dominates (high sampling rates / full detection);
-  /// at very low rates the replicated sync work caps the win.
+  /// back into one EngineRun. 0 or 1 = unsharded; values above
+  /// ShardMap::MaxShards (255) run as 255, and the Shards echoes report
+  /// the count that ran. Results are bit-identical to unsharded runs by
+  /// construction — signature sets, metrics, racesTruncated, everything
+  /// but the timing/shape echoes. Composes with NumWorkers: N lanes x S
+  /// shards yield N*S schedulable units, so a *single* engine on a huge
+  /// trace scales past one core.
+  ///
+  /// Cost model: the session routes each batch once (one owner byte per
+  /// event, no divide), and a shard's work per batch is its own accesses,
+  /// every sync event, and — for the sampling engines only, whose dirty
+  /// bit needs them — the foreign sampled accesses; every other event
+  /// costs it one bit test per 8 events. Sharding therefore pays when
+  /// access work dominates (high sampling rates / full detection: FT at
+  /// 100% on the fig5b bufwriter trace runs about 2x faster with 4 shards
+  /// on 4 workers than sequential); at low rates the replicated sync work
+  /// caps the win.
   size_t Shards = 0;
   /// Thread-universe size for detector construction. 0 means "derive from
   /// the source" (trace header or Trace::numThreads); live-hook sessions

@@ -18,9 +18,11 @@
 #define SAMPLETRACK_DETECTORS_DETECTOR_H
 
 #include "sampletrack/detectors/Metrics.h"
+#include "sampletrack/detectors/ShardMap.h"
 #include "sampletrack/trace/Event.h"
 #include "sampletrack/triage/RaceSink.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <span>
@@ -45,7 +47,8 @@ namespace sampletrack {
 /// including the race buffer behind races()/racesTruncated(), belongs to
 /// whichever thread is currently driving processEvent/processBatch, and
 /// drivers must hand the instance off with a happens-before edge (a join,
-/// or a mutex as SessionHooks uses). Nothing here is synchronized; running
+/// a mutex as SessionHooks uses, or the acquire/release claim of the
+/// session's parallel executor). Nothing here is synchronized; running
 /// K detectors on K threads is safe precisely because no two lanes share
 /// an instance. Debug builds assert that no two threads are ever inside
 /// one instance at the same time.
@@ -90,13 +93,26 @@ public:
   /// (nonzero = in S; only meaningful for access events). Bit-identical to
   /// calling \ref processEvent once per element; every engine overrides it
   /// with a devirtualized loop (\ref batchDispatch) that crosses the
-  /// virtual boundary once per batch instead of once per event.
+  /// virtual boundary once per batch instead of once per event. Unsharded
+  /// instances only; a shard takes \ref processShardBatch.
   virtual void processBatch(std::span<const Event> Events,
                             std::span<const uint8_t> Sampled);
 
-  /// The per-event reference loop (what \ref processBatch does on a plain
-  /// Detector). Kept separately callable so harnesses can differential-test
-  /// an engine's batch override against it (SessionConfig::PerEventDispatch
+  /// Batched ingestion for a shard (\ref setShard): \p Owners is the
+  /// batch's routing, ShardMap(shardCount()).route(Events), which a driver
+  /// computes once per batch and shares across the lane's shards. Every
+  /// engine overrides it with \ref batchDispatchSharded, whose per-batch
+  /// cost tracks the shard's own events. Bit-identical to
+  /// \ref processBatchGeneric.
+  virtual void processShardBatch(std::span<const Event> Events,
+                                 std::span<const uint8_t> Sampled,
+                                 std::span<const uint8_t> Owners);
+
+  /// The per-event reference loop (what \ref processBatch and
+  /// \ref processShardBatch do on a plain Detector). A shard routes each
+  /// event here with a plain VarId % shardCount(), independently of
+  /// ShardMap. Kept separately callable so harnesses can differential-test
+  /// an engine's batch overrides against it (SessionConfig::PerEventDispatch
   /// routes lanes here).
   void processBatchGeneric(std::span<const Event> Events,
                            std::span<const uint8_t> Sampled);
@@ -159,29 +175,32 @@ public:
   /// Configures this instance as shard \p Index of \p Count in a sharded
   /// single-engine run (api::AnalysisSession calls it for
   /// SessionConfig::Shards >= 2). The shard owns exactly the variables with
-  /// VarId % Count == Index: it analyzes their accesses, replicates every
-  /// sync event (so its per-thread clock state is byte-identical to an
-  /// unsharded run's), and sees foreign sampled accesses only through
-  /// \ref onForeignSampledAccess. Must be called before the first event.
+  /// VarId % Count == Index (\ref ShardMap): it analyzes their accesses,
+  /// replicates every sync event (so its per-thread clock state is
+  /// byte-identical to an unsharded run's), sees foreign sampled accesses
+  /// only through \ref onForeignSampledAccess, and skips every other
+  /// foreign access without touching it. Drive it with
+  /// \ref processShardBatch (or \ref processBatchGeneric). Must be called
+  /// before the first event.
   void setShard(uint32_t Index, uint32_t Count) {
     assert(Position == 0 && "shard layout must be fixed before any event");
     assert(Count >= 2 && Index < Count && "index out of range");
     ShardIdx = Index;
-    ShardCnt = Count;
+    Map = ShardMap(Count);
   }
 
   /// Shard count this instance was configured with; 0 when unsharded.
-  uint32_t shardCount() const { return ShardCnt; }
+  uint32_t shardCount() const { return Map.count(); }
   uint32_t shardIndex() const { return ShardIdx; }
 
 protected:
   /// Dense per-shard slot of an owned VarId: only VarIds congruent to
   /// shardIndex() arrive at a shard's access handlers, so dividing by the
-  /// shard count packs each shard's shadow table to ~1/Count the unsharded
-  /// footprint instead of leaving Count-1 holes per owned variable.
+  /// shard count (ShardMap::slot, no hardware divide) packs each shard's
+  /// shadow table to ~1/Count the unsharded footprint instead of leaving
+  /// Count-1 holes per owned variable.
   size_t varSlot(VarId X) const {
-    return ShardCnt > 1 ? static_cast<size_t>(X) / ShardCnt
-                        : static_cast<size_t>(X);
+    return static_cast<size_t>(Map.count() ? Map.slot(X) : X);
   }
   /// The devirtualized batch loop behind every engine's processBatch
   /// override: one lane-guard entry and one bulk stats update per batch,
@@ -200,6 +219,7 @@ protected:
   static void batchDispatch(Concrete &Self, std::span<const Event> Events,
                             std::span<const uint8_t> Sampled) {
     assert(Events.size() == Sampled.size() && "one decision per event");
+    assert(!Self.shardCount() && "a shard is driven by processShardBatch");
 #ifndef NDEBUG
     DriverScope Guard(Self);
 #endif
@@ -249,92 +269,122 @@ protected:
     Self.Stats.SampledAccesses += SampledAccesses;
   }
 
+  /// One sync event to its handler, devirtualized like \ref batchDispatch.
+  template <typename Concrete>
+  static void dispatchSync(Concrete &Self, const Event &E) {
+    switch (E.Kind) {
+    case OpKind::Acquire:
+      Self.Concrete::onAcquire(E.Tid, E.sync());
+      break;
+    case OpKind::Release:
+      Self.Concrete::onRelease(E.Tid, E.sync());
+      break;
+    case OpKind::Fork:
+      Self.Concrete::onFork(E.Tid, E.childThread());
+      break;
+    case OpKind::Join:
+      Self.Concrete::onJoin(E.Tid, E.childThread());
+      break;
+    case OpKind::ReleaseStore:
+      Self.Concrete::onReleaseStore(E.Tid, E.sync());
+      break;
+    case OpKind::ReleaseJoin:
+      Self.Concrete::onReleaseJoin(E.Tid, E.sync());
+      break;
+    case OpKind::AcquireLoad:
+      Self.Concrete::onAcquireLoad(E.Tid, E.sync());
+      break;
+    case OpKind::Read:
+    case OpKind::Write:
+      assert(false && "an access routed as a sync event");
+      break;
+    }
+  }
+
   /// \ref batchDispatch for a shard of a sharded run (shardCount() >= 2).
-  /// Same devirtualization contract, different routing: an access event is
-  /// dispatched only when this shard owns its variable (VarId % Count ==
-  /// Index) — foreign sampled accesses collapse to the
-  /// \ref onForeignSampledAccess side-effect hook — while sync events are
-  /// replicated into every shard so the per-thread clock state evolves
-  /// exactly as sequential. Metrics stay a field-wise *sum* over shards:
-  /// access-side counters are naturally disjoint, and the replicated
-  /// sync-side work is attributed to shard 0 only (the other shards run
-  /// the handler for its state effect under a save/restore of Stats).
-  /// Position still advances on *every* event, owned or not, so exemplar
+  /// Same devirtualization contract, different routing. \p Owners is the
+  /// batch's routing (ShardMap::route), computed once by the driver and
+  /// shared by every shard of the lane, so no shard re-derives an owner.
+  /// ShardMap::visits turns each 64 owners into a bit mask of the events
+  /// this shard must see, and only those reach a handler, so a shard's
+  /// cost per batch tracks its own work:
+  ///   - its own accesses, analyzed as sequential would;
+  ///   - every sync event, replicated so the per-thread clock state
+  ///     evolves exactly as sequential;
+  ///   - foreign *sampled* accesses, collapsed to the
+  ///     \ref onForeignSampledAccess side-effect hook — only when
+  ///     \p ForeignHook is set, i.e. the engine overrides the hook (the
+  ///     sampling engines' dirty bit). For every other engine the hook is
+  ///     the base no-op, and foreign accesses cost nothing here.
+  /// Metrics stay a field-wise *sum* over shards: access-side counters are
+  /// naturally disjoint, and the replicated sync-side work is attributed
+  /// to shard 0 only (the other shards run each run of consecutive sync
+  /// handlers for its state effect under one save/restore of Stats).
+  /// Position still advances over *every* event, owned or not, so exemplar
   /// positions are globally comparable and the per-shard sink merge can
   /// reproduce sequential first-seen order (triage::mergeShardSummaries).
-  template <bool SkipUnsampled, typename Concrete>
+  template <bool SkipUnsampled, bool ForeignHook, typename Concrete>
   static void batchDispatchSharded(Concrete &Self,
                                    std::span<const Event> Events,
-                                   std::span<const uint8_t> Sampled) {
+                                   std::span<const uint8_t> Sampled,
+                                   std::span<const uint8_t> Owners) {
     assert(Events.size() == Sampled.size() && "one decision per event");
-    assert(Self.ShardCnt >= 2 && "sharded dispatch on an unsharded lane");
+    assert(Events.size() == Owners.size() && "one owner per event");
+    assert(Self.shardCount() >= 2 && "sharded dispatch on an unsharded lane");
 #ifndef NDEBUG
     DriverScope Guard(Self);
 #endif
-    const uint32_t Count = Self.ShardCnt;
-    const bool CountsSync = Self.ShardIdx == 0;
-    uint64_t OwnedEvents = 0, Accesses = 0, SampledAccesses = 0;
-    for (size_t I = 0, N = Events.size(); I < N; ++I) {
-      const Event &E = Events[I];
-      switch (E.Kind) {
-      case OpKind::Read:
-      case OpKind::Write: {
-        bool IsSampled = Sampled[I] != 0;
-        if (static_cast<uint32_t>(E.var() % Count) != Self.ShardIdx) {
-          if (IsSampled)
-            Self.Concrete::onForeignSampledAccess(E.Tid);
-          break;
+    const size_t N = Events.size();
+    const uint32_t Me = Self.ShardIdx;
+    const bool CountsSync = Me == 0;
+    const uint64_t Base = Self.Position;
+    uint64_t SyncEvents = 0, Accesses = 0, SampledAccesses = 0;
+    // Set while a non-primary shard is inside a run of sync events.
+    bool Saving = false;
+    Metrics Saved;
+    for (size_t W = 0; W < N; W += 64) {
+      const size_t Len = std::min<size_t>(64, N - W);
+      uint64_t Visit = ShardMap::visits(Owners.subspan(W, Len),
+                                        Sampled.subspan(W, Len), Me,
+                                        ForeignHook);
+      for (; Visit; Visit &= Visit - 1) {
+        const size_t I = W + static_cast<size_t>(__builtin_ctzll(Visit));
+        const Event &E = Events[I];
+        const uint8_t O = Owners[I];
+        if (O == ShardMap::Replicated) {
+          if (!CountsSync && !Saving) {
+            Saved = Self.Stats;
+            Saving = true;
+          }
+          ++SyncEvents;
+          Self.Position = Base + I;
+          dispatchSync<Concrete>(Self, E);
+          continue;
         }
-        ++OwnedEvents;
+        if (Saving) {
+          Self.Stats = Saved;
+          Saving = false;
+        }
+        if (O != Me) {
+          Self.Concrete::onForeignSampledAccess(E.Tid);
+          continue;
+        }
         ++Accesses;
+        bool IsSampled = Sampled[I] != 0;
         SampledAccesses += IsSampled ? 1 : 0;
         if (SkipUnsampled && !IsSampled)
-          break;
+          continue;
+        Self.Position = Base + I;
         if (E.Kind == OpKind::Read)
           Self.Concrete::onRead(E.Tid, E.var(), IsSampled);
         else
           Self.Concrete::onWrite(E.Tid, E.var(), IsSampled);
-        break;
       }
-      default: {
-        Metrics Saved;
-        if (!CountsSync)
-          Saved = Self.Stats;
-        switch (E.Kind) {
-        case OpKind::Acquire:
-          Self.Concrete::onAcquire(E.Tid, E.sync());
-          break;
-        case OpKind::Release:
-          Self.Concrete::onRelease(E.Tid, E.sync());
-          break;
-        case OpKind::Fork:
-          Self.Concrete::onFork(E.Tid, E.childThread());
-          break;
-        case OpKind::Join:
-          Self.Concrete::onJoin(E.Tid, E.childThread());
-          break;
-        case OpKind::ReleaseStore:
-          Self.Concrete::onReleaseStore(E.Tid, E.sync());
-          break;
-        case OpKind::ReleaseJoin:
-          Self.Concrete::onReleaseJoin(E.Tid, E.sync());
-          break;
-        case OpKind::AcquireLoad:
-          Self.Concrete::onAcquireLoad(E.Tid, E.sync());
-          break;
-        default:
-          break; // Read/Write handled above.
-        }
-        if (!CountsSync)
-          Self.Stats = Saved;
-        else
-          ++OwnedEvents;
-        break;
-      }
-      }
-      ++Self.Position;
     }
-    Self.Stats.Events += OwnedEvents;
+    if (Saving)
+      Self.Stats = Saved;
+    Self.Position = Base + N;
+    Self.Stats.Events += Accesses + (CountsSync ? SyncEvents : 0);
     Self.Stats.Accesses += Accesses;
     Self.Stats.SampledAccesses += SampledAccesses;
   }
@@ -361,7 +411,7 @@ private:
 
   size_t NumThreads;
   uint32_t ShardIdx = 0;
-  uint32_t ShardCnt = 0; // 0 = unsharded.
+  ShardMap Map; // count() == 0: unsharded.
   uint64_t Position = 0;
   triage::RaceSink Sink;
   std::unordered_set<VarId> RacyLocations;

@@ -45,6 +45,9 @@ public:
 
   void processBatch(std::span<const Event> Events,
                     std::span<const uint8_t> Sampled) override;
+  void processShardBatch(std::span<const Event> Events,
+                         std::span<const uint8_t> Sampled,
+                         std::span<const uint8_t> Owners) override;
 
   /// Current clock of thread \p T (tests inspect this).
   const VectorClock &threadClock(ThreadId T) const { return Threads[T]; }

@@ -91,13 +91,17 @@ public:
       Threads[T].Dirty = true;
   }
 
+  // Full analysis processes unsampled accesses too (it ignores S); only
+  // the sampling engines have a foreign-access side effect (the dirty bit).
   void processBatch(std::span<const Event> Events,
                     std::span<const uint8_t> Sampled) final {
-    // Full analysis processes unsampled accesses too (it ignores S).
-    if (shardCount())
-      batchDispatchSharded<Policy::Sampling>(*this, Events, Sampled);
-    else
-      batchDispatch<Policy::Sampling>(*this, Events, Sampled);
+    batchDispatch<Policy::Sampling>(*this, Events, Sampled);
+  }
+  void processShardBatch(std::span<const Event> Events,
+                         std::span<const uint8_t> Sampled,
+                         std::span<const uint8_t> Owners) final {
+    batchDispatchSharded<Policy::Sampling, Policy::Sampling>(*this, Events,
+                                                             Sampled, Owners);
   }
 
   void setPoolingEnabled(bool Enabled) final {

@@ -54,6 +54,9 @@ public:
 
   void processBatch(std::span<const Event> Events,
                     std::span<const uint8_t> Sampled) override;
+  void processShardBatch(std::span<const Event> Events,
+                         std::span<const uint8_t> Sampled,
+                         std::span<const uint8_t> Owners) override;
   void setPoolingEnabled(bool Enabled) override { Pool.setEnabled(Enabled); }
 
   const TreeClock &threadClock(ThreadId T) const { return *Threads[T].TC; }

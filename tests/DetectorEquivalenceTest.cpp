@@ -11,7 +11,9 @@
 /// exactly the ones a last-access-history detector with perfect
 /// happens-before information would flag. These tests sweep randomized
 /// traces and sampling rates and check both claims, plus the full-detection
-/// baselines against the oracle.
+/// baselines against the oracle. The ShardMap tests hold the sharded
+/// routing's divide-free owner/slot arithmetic and visit masks to plain
+/// % and / on every shard count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,9 @@
 #include "sampletrack/detectors/DetectorFactory.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
 #include "sampletrack/trace/TraceGen.h"
+
+#include <limits>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -249,5 +254,62 @@ TEST(TreeClockEngine, MatchesSamplingVerdictsOnMutexTraces) {
     std::vector<size_t> SO = declaredEvents(T, EngineKind::SamplingO);
     std::vector<size_t> TC = declaredEvents(T, EngineKind::TreeClockFull);
     EXPECT_EQ(SO, TC) << "seed " << Seed;
+  }
+}
+
+TEST(ShardMap, OwnerAndSlotMatchDivisionForEveryCount) {
+  std::mt19937_64 Rng(42);
+  const uint64_t Max = std::numeric_limits<uint64_t>::max();
+  for (uint32_t Count = 2; Count <= ShardMap::MaxShards; ++Count) {
+    ShardMap M(Count);
+    std::vector<uint64_t> Xs = {0, 1, Count - 1, Count, Count + 1, Max,
+                                Max - 1, Max - Count, uint64_t(1) << 32,
+                                (uint64_t(1) << 32) - 1, uint64_t(1) << 63};
+    // Neighbours of multiples of Count, where a rounding error would show.
+    for (uint64_t Q : {uint64_t(1), uint64_t(1000), Max / Count / 3,
+                       Max / Count})
+      for (int64_t D = -1; D <= 1; ++D)
+        Xs.push_back(Q * Count + static_cast<uint64_t>(D));
+    for (int I = 0; I < 200; ++I)
+      Xs.push_back(Rng() >> (Rng() % 64));
+    for (uint64_t X : Xs) {
+      ASSERT_EQ(M.slot(X), X / Count) << "X=" << X << " Count=" << Count;
+      ASSERT_EQ(M.owner(X), X % Count) << "X=" << X << " Count=" << Count;
+    }
+  }
+}
+
+TEST(ShardMap, RouteAndVisitsMatchTheirDefinitions) {
+  std::mt19937_64 Rng(7);
+  const OpKind Kinds[] = {OpKind::Read,    OpKind::Write,
+                          OpKind::Acquire, OpKind::Release,
+                          OpKind::Fork,    OpKind::AcquireLoad};
+  for (uint32_t Count : {2u, 3u, 4u, 7u, 8u, 100u, ShardMap::MaxShards}) {
+    ShardMap M(Count);
+    for (size_t N : {size_t(0), size_t(1), size_t(7), size_t(8), size_t(9),
+                     size_t(63), size_t(64)}) {
+      std::vector<Event> Events;
+      std::vector<uint8_t> Sampled;
+      for (size_t I = 0; I < N; ++I) {
+        Events.emplace_back(0, Kinds[Rng() % std::size(Kinds)], Rng());
+        Sampled.push_back(Rng() % 3 == 0 ? uint8_t(Rng() | 1) : 0);
+      }
+      std::vector<uint8_t> Owners(N);
+      M.route(Events, Owners);
+      for (size_t I = 0; I < N; ++I)
+        ASSERT_EQ(Owners[I], isAccess(Events[I].Kind)
+                                 ? M.owner(Events[I].Target)
+                                 : ShardMap::Replicated);
+      for (uint32_t Shard = 0; Shard < Count; ++Shard)
+        for (bool Foreign : {false, true}) {
+          uint64_t Want = 0;
+          for (size_t I = 0; I < N; ++I)
+            if (Owners[I] == Shard || Owners[I] == ShardMap::Replicated ||
+                (Foreign && Sampled[I]))
+              Want |= uint64_t(1) << I;
+          ASSERT_EQ(ShardMap::visits(Owners, Sampled, Shard, Foreign), Want)
+              << "Count=" << Count << " N=" << N << " Shard=" << Shard;
+        }
+    }
   }
 }

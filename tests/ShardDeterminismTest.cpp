@@ -243,5 +243,10 @@ TEST(ShardDeterminism, SingleEngineShardSpeedupOnFig5bWorkload) {
                    static_cast<double>(std::max<uint64_t>(ShardedNanos, 1));
   RecordProperty("speedup", std::to_string(Speedup));
   EXPECT_GE(Speedup, 1.5) << "sequential " << SeqNanos << "ns vs sharded "
-                          << ShardedNanos << "ns";
+                          << ShardedNanos << "ns; last run: sequential lane "
+                          << Seq.Engines[0].WallNanos << "ns, ingest "
+                          << Seq.IngestNanos << "ns; sharded lane "
+                          << Sharded.Engines[0].WallNanos
+                          << "ns summed over shards, ingest "
+                          << Sharded.IngestNanos << "ns";
 }
