@@ -7,9 +7,10 @@
 ///
 /// \file
 /// The one byte codec of the persisted and wire formats: little-endian
-/// fixed-width writers, a bounds-checked reader over a byte view, and the
-/// FNV-1a checksum every format carries. Three formats use it:
+/// fixed-width writers, LEB128 varints, a bounds-checked reader over a byte
+/// view, and the FNV-1a checksum every format carries. Four formats use it:
 ///
+///  - the "STRC" binary trace (trace/TraceIO.cpp), which needs varints only;
 ///  - the "STTS" triage store image (triage/TriageStore.cpp), which is also
 ///    the TriageLog base segment;
 ///  - the "STTJ" TriageLog journal (triage/TriageLog.cpp);
@@ -53,6 +54,19 @@ inline void putU64(std::string &S, uint64_t V) {
     S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
 }
 
+/// The longest varint putVarint writes for a 64-bit value.
+constexpr size_t MaxVarintBytes = 10;
+
+/// Appends \p V as an unsigned LEB128 varint: seven bits per byte, low
+/// bits first, the high bit set on every byte but the last.
+inline void putVarint(std::string &S, uint64_t V) {
+  while (V >= 0x80) {
+    S.push_back(static_cast<char>((V & 0x7f) | 0x80));
+    V >>= 7;
+  }
+  S.push_back(static_cast<char>(V));
+}
+
 /// FNV-1a 64 of \p Bytes: the checksum of every format above.
 inline uint64_t fnv1a(std::string_view Bytes) {
   Fnv1a H;
@@ -70,6 +84,20 @@ struct ByteReader {
   bool getU16(uint16_t &V) { return getLE(V); }
   bool getU32(uint32_t &V) { return getLE(V); }
   bool getU64(uint64_t &V) { return getLE(V); }
+
+  /// Decodes a putVarint varint. Also false, without advancing, on an
+  /// overlong one (no final byte within MaxVarintBytes); bits past the
+  /// 64th are dropped.
+  bool getVarint(uint64_t &V) {
+    const char *P = Bytes.data() + Pos;
+    size_t Left = Bytes.size() - Pos;
+    // With a whole varint's worth of bytes left the loop needs no bounds
+    // check; the constant lets the compiler unroll it.
+    size_t N = Left >= MaxVarintBytes ? varintAt(P, MaxVarintBytes, V)
+                                      : varintAt(P, Left, V);
+    Pos += N;
+    return N != 0;
+  }
 
   bool getBytes(std::string &Out, size_t Len) {
     if (Bytes.size() - Pos < Len)
@@ -92,6 +120,20 @@ struct ByteReader {
   bool exhausted() const { return Pos == Bytes.size(); }
 
 private:
+  /// Decodes a varint from the \p Avail bytes at \p P: its length, or 0.
+  static size_t varintAt(const char *P, size_t Avail, uint64_t &V) {
+    uint64_t Out = 0;
+    for (size_t I = 0; I < Avail; ++I) {
+      uint8_t B = static_cast<uint8_t>(P[I]);
+      Out |= static_cast<uint64_t>(B & 0x7f) << (7 * I);
+      if (!(B & 0x80)) {
+        V = Out;
+        return I + 1;
+      }
+    }
+    return 0;
+  }
+
   template <typename T> bool getLE(T &V) {
     if (Bytes.size() - Pos < sizeof(T))
       return false;

@@ -30,6 +30,8 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace sampletrack {
 
@@ -55,26 +57,41 @@ bool writeTraceFile(const std::string &Path, const Trace &T);
 /// Binary trace format: a fixed magic ("STRC\\1"), three varint universe
 /// sizes, a varint event count, then per event one kind/marked byte and two
 /// varints (tid, target). Roughly 3-5 bytes per event — an order of
-/// magnitude smaller than the text format for large traces.
+/// magnitude smaller than the text format for large traces. The varints are
+/// support/Bytes.h's; bytes after the promised events are ignored.
 void writeTraceBinary(std::ostream &Os, const Trace &T);
 
 /// Writes \p T in the binary format. Returns false on I/O failure.
 bool writeTraceFileBinary(const std::string &Path, const Trace &T);
 
-/// Reads a binary trace. Returns false (with \p Error filled if nonnull)
-/// on malformed input.
+/// Reads a binary trace whose magic \ref sniffBinaryTrace has consumed.
+/// Returns false (with \p Error filled if nonnull) on malformed input. Reads
+/// \p Is ahead, possibly past the trace's end (see BinaryTraceReader).
 bool readTraceBinary(std::istream &Is, Trace &Out,
                      std::string *Error = nullptr);
 
-/// True if the stream starts with the binary trace magic (the stream
-/// position is restored).
+/// The same, over the in-memory bytes that follow the magic.
+bool readTraceBinary(std::string_view Body, Trace &Out,
+                     std::string *Error = nullptr);
+
+/// True if the stream starts with the binary trace magic. On a match the
+/// magic is consumed, ready for readTraceBinary or BinaryTraceReader::open;
+/// otherwise the stream position is restored.
 bool sniffBinaryTrace(std::istream &Is);
+
+/// The same for in-memory bytes: on a match \p Bytes is advanced past the
+/// magic.
+bool sniffBinaryTrace(std::string_view &Bytes);
 
 /// Incremental reader for the binary trace format: decodes the header
 /// eagerly (so consumers learn the thread/sync/var universes before any
 /// event is materialized) and then yields events in caller-sized batches.
 /// api::AnalysisSession streams multi-gigabyte traces through this without
-/// ever holding more than one batch in memory.
+/// ever holding more than one batch and one 64 KiB block in memory.
+///
+/// A stream is read in whole 64 KiB blocks, ahead of the batch being
+/// decoded: after open() or read() the stream's position is up to a block
+/// past the last decoded byte, and may be past the trace's end.
 class BinaryTraceReader {
 public:
   /// Binds to \p Is and decodes the header. The caller must already have
@@ -82,6 +99,10 @@ public:
   /// match), mirroring readTraceBinary's contract. Returns false (filling
   /// \p Error if nonnull) on a truncated header.
   bool open(std::istream &Is, std::string *Error = nullptr);
+
+  /// Binds to the in-memory bytes after the magic, which must outlive the
+  /// reader, and decodes the header.
+  bool open(std::string_view Body, std::string *Error = nullptr);
 
   size_t numThreads() const { return NumThreads; }
   size_t numSyncs() const { return NumSyncs; }
@@ -99,9 +120,26 @@ public:
             std::string *Error = nullptr);
 
 private:
-  std::istream *Is = nullptr;
+  /// Moves the undecoded bytes to the front of Buf and reads one block
+  /// after them.
+  void refill();
+  bool readHeader(std::string *Error);
+  /// The bytes Pos indexes: Buf's filled part, or the in-memory body.
+  std::string_view bytes() const {
+    return Is ? std::string_view(Buf.data(), Len) : Mem;
+  }
+
+  std::istream *Is = nullptr; ///< Null when reading from memory.
+  std::vector<char> Buf;      ///< Stream blocks, read ahead of decoding.
+  std::string_view Mem;
+  size_t Len = 0, Pos = 0;
+  bool Eof = false, Opened = false;
   size_t NumThreads = 0, NumSyncs = 0, NumVars = 0;
   uint64_t NumEvents = 0, Position = 0;
+  /// Per tag byte (kind and marked bit): the universe an event's target
+  /// must be under, or 0 for a tag no event may carry. One compare then
+  /// checks the kind, the mark and the target.
+  uint64_t TargetBound[32] = {};
 };
 
 } // namespace sampletrack

@@ -7,6 +7,9 @@
 
 #include "sampletrack/trace/TraceIO.h"
 
+#include "sampletrack/support/Bytes.h"
+
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -175,42 +178,46 @@ namespace {
 
 constexpr char BinaryMagic[5] = {'S', 'T', 'R', 'C', '\1'};
 
-void writeVarint(std::ostream &Os, uint64_t V) {
-  while (V >= 0x80) {
-    Os.put(static_cast<char>((V & 0x7f) | 0x80));
-    V >>= 7;
-  }
-  Os.put(static_cast<char>(V));
-}
+/// Bytes the writer buffers and the reader reads per stream call.
+constexpr size_t BlockBytes = 64 * 1024;
 
-bool readVarint(std::istream &Is, uint64_t &Out) {
-  Out = 0;
-  for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-    int C = Is.get();
-    if (C == EOF)
+/// The largest encoded event: a kind/marked byte and two varints.
+constexpr size_t MaxEventBytes = 1 + 2 * support::MaxVarintBytes;
+
+/// Reads every event \p Reader still promises into \p Out.
+bool readRest(BinaryTraceReader &Reader, Trace &Out, std::string *Error) {
+  std::vector<Event> Batch;
+  while (!Reader.done()) {
+    // read() validates every id against the header universes, so the
+    // loaded trace can never outgrow the header.
+    if (!Reader.read(Batch, 4096, Error))
       return false;
-    Out |= static_cast<uint64_t>(C & 0x7f) << Shift;
-    if (!(C & 0x80))
-      return true;
+    for (const Event &E : Batch)
+      Out.append(E);
   }
-  return false; // Overlong encoding.
+  return true;
 }
 
 } // namespace
 
 void sampletrack::writeTraceBinary(std::ostream &Os, const Trace &T) {
-  Os.write(BinaryMagic, sizeof(BinaryMagic));
-  writeVarint(Os, T.numThreads());
-  writeVarint(Os, T.numSyncs());
-  writeVarint(Os, T.numVars());
-  writeVarint(Os, T.size());
+  std::string Buf(BinaryMagic, sizeof(BinaryMagic));
+  Buf.reserve(BlockBytes + MaxEventBytes);
+  support::putVarint(Buf, T.numThreads());
+  support::putVarint(Buf, T.numSyncs());
+  support::putVarint(Buf, T.numVars());
+  support::putVarint(Buf, T.size());
   for (const Event &E : T) {
+    if (Buf.size() >= BlockBytes) {
+      Os.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
+      Buf.clear();
+    }
     // Low 4 bits: kind; bit 4: marked.
-    uint8_t Tag = static_cast<uint8_t>(E.Kind) | (E.Marked ? 0x10 : 0);
-    Os.put(static_cast<char>(Tag));
-    writeVarint(Os, E.Tid);
-    writeVarint(Os, E.Target);
+    support::putU8(Buf, static_cast<uint8_t>(E.Kind) | (E.Marked ? 0x10 : 0));
+    support::putVarint(Buf, E.Tid);
+    support::putVarint(Buf, E.Target);
   }
+  Os.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
 }
 
 bool sampletrack::writeTraceFileBinary(const std::string &Path,
@@ -234,61 +241,123 @@ bool sampletrack::sniffBinaryTrace(std::istream &Is) {
   return Match;
 }
 
+bool sampletrack::sniffBinaryTrace(std::string_view &Bytes) {
+  std::string_view Magic(BinaryMagic, sizeof(BinaryMagic));
+  if (Bytes.substr(0, Magic.size()) != Magic)
+    return false;
+  Bytes.remove_prefix(Magic.size());
+  return true;
+}
+
 bool BinaryTraceReader::open(std::istream &Stream, std::string *Error) {
   Is = &Stream;
-  Position = 0;
+  Buf.resize(BlockBytes + MaxEventBytes);
+  Len = Pos = 0;
+  refill();
+  return readHeader(Error);
+}
+
+bool BinaryTraceReader::open(std::string_view Body, std::string *Error) {
+  Is = nullptr;
+  Mem = Body;
+  Pos = 0;
+  Eof = true;
+  return readHeader(Error);
+}
+
+void BinaryTraceReader::refill() {
+  size_t Kept = Len - Pos;
+  std::memmove(Buf.data(), Buf.data() + Pos, Kept);
+  Is->read(Buf.data() + Kept, BlockBytes);
+  size_t Got = static_cast<size_t>(Is->gcount());
+  Len = Kept + Got;
+  Pos = 0;
+  Eof = Got < BlockBytes;
+}
+
+bool BinaryTraceReader::readHeader(std::string *Error) {
+  Opened = false;
+  Position = NumEvents = 0;
+  support::ByteReader In{bytes(), Pos};
   uint64_t Threads, Syncs, Vars;
-  if (!readVarint(*Is, Threads) || !readVarint(*Is, Syncs) ||
-      !readVarint(*Is, Vars) || !readVarint(*Is, NumEvents)) {
+  // The header is far shorter than a block, so the first one holds it.
+  if (!In.getVarint(Threads) || !In.getVarint(Syncs) ||
+      !In.getVarint(Vars) || !In.getVarint(NumEvents)) {
     if (Error)
       *Error = "truncated binary trace header";
     return false;
   }
+  Pos = In.Pos;
   NumThreads = static_cast<size_t>(Threads);
   NumSyncs = static_cast<size_t>(Syncs);
   NumVars = static_cast<size_t>(Vars);
+  for (uint8_t Tag = 0; Tag < 32; ++Tag) {
+    OpKind K = static_cast<OpKind>(Tag & 0x0f);
+    bool Marked = (Tag & 0x10) != 0;
+    uint64_t &Bound = TargetBound[Tag];
+    if (K > OpKind::AcquireLoad || (Marked && !isAccess(K)))
+      Bound = 0;
+    else if (isAccess(K))
+      Bound = Vars;
+    else if (K == OpKind::Fork || K == OpKind::Join)
+      Bound = Threads;
+    else
+      Bound = Syncs;
+  }
+  Opened = true;
   return true;
 }
 
 bool BinaryTraceReader::read(std::vector<Event> &Out, size_t Max,
                              std::string *Error) {
+  Out.clear();
   auto Fail = [&](const char *Msg) {
+    Position += Out.size();
     if (Error)
       *Error = Msg;
     return false;
   };
-  Out.clear();
-  if (!Is)
+  if (!Opened)
     return Fail("reader not opened");
   if (Max == 0)
     return Fail("zero batch size"); // A while(!done()) loop would never end.
-  constexpr uint8_t MaxKind = static_cast<uint8_t>(OpKind::AcquireLoad);
-  while (Out.size() < Max && Position < NumEvents) {
-    int Tag = Is->get();
-    if (Tag == EOF)
-      return Fail("truncated binary trace body");
-    uint8_t Kind = static_cast<uint8_t>(Tag) & 0x0f;
-    bool Marked = (Tag & 0x10) != 0;
-    if (Kind > MaxKind)
-      return Fail("invalid event kind");
+  // A copy in a local: the stores into Out could alias the member.
+  const size_t Threads = NumThreads;
+  const size_t Want = static_cast<size_t>(
+      std::min<uint64_t>(Max, NumEvents - Position));
+  support::ByteReader In{bytes(), Pos};
+  for (size_t N = 0; N < Want;) {
+    size_t Start = In.Pos;
+    uint8_t Tag = 0;
     uint64_t Tid, Target;
-    if (!readVarint(*Is, Tid) || !readVarint(*Is, Target))
-      return Fail("truncated event");
-    OpKind K = static_cast<OpKind>(Kind);
-    if (Marked && !isAccess(K))
-      return Fail("marked non-access event");
+    if (!In.getU8(Tag) || !In.getVarint(Tid) || !In.getVarint(Target)) {
+      // An event split across two blocks: carry its head over and retry.
+      if (!Eof && In.Bytes.size() - Start < MaxEventBytes) {
+        Pos = Start;
+        refill();
+        In = support::ByteReader{bytes(), Pos};
+        continue;
+      }
+      return Fail(In.Pos == Start ? "truncated binary trace body"
+                                  : "truncated event");
+    }
     // Events are handed to detectors batch by batch, so unlike the whole-
     // trace loader the ids must be validated against the header universes
     // here, before any consumer indexes per-thread state with them.
-    bool TargetOk = isAccess(K) ? Target < NumVars
-                    : (K == OpKind::Fork || K == OpKind::Join)
-                        ? Target < NumThreads
-                        : Target < NumSyncs;
-    if (Tid >= NumThreads || !TargetOk)
+    OpKind K = static_cast<OpKind>(Tag & 0x0f);
+    bool Marked = (Tag & 0x10) != 0;
+    if (Tid >= Threads || Target >= TargetBound[Tag & 0x1f]) {
+      if (K > OpKind::AcquireLoad)
+        return Fail("invalid event kind");
+      if (Marked && !isAccess(K))
+        return Fail("marked non-access event");
       return Fail("binary trace header inconsistent with events");
+    }
     Out.emplace_back(static_cast<ThreadId>(Tid), K, Target, Marked);
-    ++Position;
+    ++N;
   }
+  Position += Out.size();
+  Pos = In.Pos;
   return true;
 }
 
@@ -296,16 +365,12 @@ bool sampletrack::readTraceBinary(std::istream &Is, Trace &Out,
                                   std::string *Error) {
   Out = Trace();
   BinaryTraceReader Reader;
-  if (!Reader.open(Is, Error))
-    return false;
-  std::vector<Event> Batch;
-  while (!Reader.done()) {
-    // read() validates every id against the header universes, so the
-    // loaded trace can never outgrow the header.
-    if (!Reader.read(Batch, 4096, Error))
-      return false;
-    for (const Event &E : Batch)
-      Out.append(E);
-  }
-  return true;
+  return Reader.open(Is, Error) && readRest(Reader, Out, Error);
+}
+
+bool sampletrack::readTraceBinary(std::string_view Body, Trace &Out,
+                                  std::string *Error) {
+  Out = Trace();
+  BinaryTraceReader Reader;
+  return Reader.open(Body, Error) && readRest(Reader, Out, Error);
 }

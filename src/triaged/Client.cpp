@@ -399,8 +399,8 @@ bool Client::uploadFile(const std::string &Path, UploadOutcome &Out,
   if (sniffSummary(Bytes))
     return uploadFramed(WireContent::SignatureSummary, Bytes, Out, Error,
                         Sequence, RunId);
-  std::istringstream Sniff(Bytes);
-  if (sniffBinaryTrace(Sniff))
+  std::string_view Body = Bytes;
+  if (sniffBinaryTrace(Body))
     return uploadFramed(WireContent::BinaryTrace, Bytes, Out, Error,
                         Sequence, RunId);
   return fail(Error, "'" + Path +

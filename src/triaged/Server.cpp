@@ -522,11 +522,11 @@ std::string Server::handleUpload(const HttpRequest &Req, bool KeepAlive,
   triage::TriageSummary Summary;
   uint64_t Events = 0;
   if (Frame.Content == WireContent::BinaryTrace) {
-    std::istringstream Is{std::string(Frame.Payload)};
-    if (!sniffBinaryTrace(Is))
+    std::string_view Body = Frame.Payload;
+    if (!sniffBinaryTrace(Body))
       return Reject(422, "frame payload is not a binary trace");
     Trace T;
-    if (!readTraceBinary(Is, T, &Err))
+    if (!readTraceBinary(Body, T, &Err))
       return Reject(422, Err);
     if (PT) {
       uint64_t Now = prof::nowNanos();

@@ -3,9 +3,10 @@
 // Part of the SampleTrack project.
 // SPDX-License-Identifier: Apache-2.0
 //
-// Exact bytes, as hex, for fixed inputs in each of the four binary formats:
+// Exact bytes, as hex, for fixed inputs in each of the five binary formats:
 // the "STSG" signature summary, the "STWF" upload frame, the "STTS" store
-// image and the "STTJ" journal (header and one record). The round-trip
+// image, the "STTJ" journal (header and one record) and the "STRC" binary
+// trace. The round-trip
 // tests elsewhere would still pass if an encoder and its decoder changed
 // together; these would not, and they also decode the pinned bytes, so
 // files written by earlier builds keep loading.
@@ -13,11 +14,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "sampletrack/support/FaultInjectionFs.h"
+#include "sampletrack/trace/TraceIO.h"
 #include "sampletrack/triage/TriageLog.h"
 #include "sampletrack/triage/TriageStore.h"
 #include "sampletrack/triaged/Wire.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace sampletrack;
 using namespace sampletrack::triage;
@@ -60,6 +64,23 @@ TriageSummary fixedSummary() {
   return S;
 }
 
+/// Every OpKind, marked accesses, and thread, sync and var ids that take
+/// one, two and three varint bytes.
+Trace fixedTrace() {
+  Trace T;
+  T.append(Event(0, OpKind::Fork, 130));
+  T.append(Event(130, OpKind::Acquire, 200));
+  T.append(Event(130, OpKind::Write, 16384, /*Marked=*/true));
+  T.append(Event(130, OpKind::Release, 200));
+  T.append(Event(130, OpKind::ReleaseStore, 5));
+  T.append(Event(0, OpKind::AcquireLoad, 5));
+  T.append(Event(0, OpKind::Read, 16384));
+  T.append(Event(0, OpKind::ReleaseJoin, 5));
+  T.append(Event(0, OpKind::Join, 130));
+  T.append(Event(0, OpKind::Read, 127, /*Marked=*/true));
+  return T;
+}
+
 // The pinned images. Regenerating any of these is a format change: bump
 // the format's version and keep a reader for the old one.
 constexpr std::string_view SummaryHex =
@@ -83,6 +104,9 @@ constexpr std::string_view JournalRecordHex =
     "0100000000000000010200000000000000efcdab896745230103000000000000"
     "002a00000000000000020000000700000000000000011032547698badcfe0100"
     "000000000000640000000000000001000000090000000000000000";
+constexpr std::string_view TraceHex =
+    "53545243018301c9018180010a04008201028201c801118201808001038201c801"
+    "0682010508000500008080010700050500820110007f";
 
 } // namespace
 
@@ -159,4 +183,22 @@ TEST(FormatGolden, JournalHeaderAndRecordBytesArePinned) {
   EXPECT_TRUE(Info.Capped);
   EXPECT_EQ(Info.Distinct, 2u);
   EXPECT_EQ(Info.Merge.NewSignatures, 2u);
+}
+
+TEST(FormatGolden, BinaryTraceBytesArePinned) {
+  std::ostringstream Os(std::ios::binary);
+  writeTraceBinary(Os, fixedTrace());
+  EXPECT_EQ(toHex(Os.str()), TraceHex);
+
+  std::string Pinned = fromHex(TraceHex);
+  std::istringstream Is(Pinned, std::ios::binary);
+  ASSERT_TRUE(sniffBinaryTrace(Is));
+  Trace Back;
+  std::string Err;
+  ASSERT_TRUE(readTraceBinary(Is, Back, &Err)) << Err;
+  Trace Want = fixedTrace();
+  EXPECT_EQ(Back.numThreads(), 131u);
+  EXPECT_EQ(Back.numSyncs(), 201u);
+  EXPECT_EQ(Back.numVars(), 16385u);
+  EXPECT_EQ(Back.events(), Want.events());
 }
