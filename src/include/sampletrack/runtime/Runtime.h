@@ -30,12 +30,25 @@
 ///    timestamping "exacerbates existing lock contention". SO does only
 ///    the O(1) snapshot read under that mutex and traverses the pinned,
 ///    immutable list outside it.
-///  - Shadow cells: addresses hash into a fixed table of access histories
-///    guarded by sharded mutexes. A cell belongs to the last address that
-///    claimed it; a colliding address evicts its history, a
-///    false-negative-only approximation like TSan's shadow eviction.
+///  - Shadow cells: addresses hash into a fixed table of cells guarded by
+///    sharded mutexes. A cell belongs to the last address that claimed it;
+///    a colliding address evicts its history, a false-negative-only
+///    approximation like TSan's shadow eviction.
 ///  - Sampling decisions from a per-thread RNG, per-thread race sinks and
 ///    profiler trees, and optional trace recording for offline replay.
+///
+/// Memory grows with what the program registers and touches, as TSan's
+/// shadow does:
+///
+///  - one sync slot (a mutex and the policy's sync state) per registered
+///    sync object, allocated 256 at a time as registerSync reaches them;
+///  - 16 bytes per shadow cell (Config::ShadowCells of them, made up
+///    front: the owning address and a pointer to its history);
+///  - one access history per claimed cell, allocated on the cell's first
+///    claim and reused when another address claims the cell;
+///  - clocks Config::MaxThreads wide, in every thread's state, in the
+///    sync state of the analyses that keep clocks there, and in the
+///    vector-clock histories of the sampling analyses (Algorithm 2).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,10 +94,14 @@ struct Config {
   /// Sampling rate for ST/SU/SO (fraction of accesses in S).
   double SamplingRate = 0.03;
   uint64_t Seed = 1;
-  /// Fixed vector-clock size; threads beyond this cannot register (TSan v3
-  /// uses a fixed 256-slot clock; we default lower to match our workloads).
+  /// Fixed vector-clock size; registering one thread more ends the process
+  /// (TSan v3 uses a fixed 256-slot clock; we default lower to match our
+  /// workloads). Every clock the analysis keeps is this wide: thread
+  /// clocks, sync clocks and the sampling analyses' history clocks.
   size_t MaxThreads = 64;
-  /// Number of shadow cells (addresses are hashed into this space).
+  /// Number of shadow cells (addresses are hashed into this space). Each
+  /// cell takes 16 bytes up front; its access history is allocated when an
+  /// address first claims it.
   size_t ShadowCells = 1 << 16;
   /// Number of shard mutexes protecting the shadow table.
   size_t ShadowShards = 256;
@@ -119,14 +136,17 @@ public:
   Runtime(const Runtime &) = delete;
   Runtime &operator=(const Runtime &) = delete;
 
+  /// Sync-object ids registerSync can hand out; one more ends the process.
+  static constexpr size_t MaxSyncs = 1 << 14;
+
   const Config &config() const { return Cfg; }
 
   /// Registers the calling thread; returns its dense id. Must be called
   /// before any other hook from that thread. Thread 0 is pre-registered as
-  /// the "main" thread.
+  /// the "main" thread; ids stay below Config::MaxThreads.
   ThreadId registerThread();
 
-  /// Creates a new sync object (lock/atomic) id.
+  /// Creates a new sync object (lock/atomic) id, below MaxSyncs.
   SyncId registerSync();
 
   // -- Instrumentation hooks -------------------------------------------

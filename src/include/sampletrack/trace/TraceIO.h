@@ -41,7 +41,8 @@ bool parseEventLine(const std::string &Line, Event &Out,
                     std::string *Error = nullptr);
 
 /// Reads a whole trace from \p Is. Returns true on success; on failure
-/// returns false and fills \p Error (with a line number) if nonnull.
+/// (a malformed line, or a stream gone bad) returns false and fills
+/// \p Error (with a line number for a malformed line) if nonnull.
 bool readTrace(std::istream &Is, Trace &Out, std::string *Error = nullptr);
 
 /// Reads a trace from the file at \p Path.
@@ -76,7 +77,8 @@ bool readTraceBinary(std::string_view Body, Trace &Out,
 
 /// True if the stream starts with the binary trace magic. On a match the
 /// magic is consumed, ready for readTraceBinary or BinaryTraceReader::open;
-/// otherwise the stream position is restored.
+/// otherwise the bytes read are put back, without seeking, so a pipe works
+/// too. A stream that cannot take them back is left bad.
 bool sniffBinaryTrace(std::istream &Is);
 
 /// The same for in-memory bytes: on a match \p Bytes is advanced past the

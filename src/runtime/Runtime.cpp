@@ -12,6 +12,8 @@
 #include <array>
 #include <atomic>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <unordered_set>
 
 using namespace sampletrack;
@@ -48,8 +50,22 @@ inline uint64_t hashAddress(uint64_t Addr) {
 /// distinct signatures per thread is effectively unbounded.
 constexpr size_t DefaultThreadSinkCapacity = 1 << 16;
 
-/// Sync-object ids registerSync can hand out.
-constexpr size_t MaxSyncs = 1 << 14;
+/// Sync slots are allocated this many at a time, when registerSync hands
+/// out the first id of a chunk.
+constexpr size_t SyncChunkSlots = 256;
+
+/// Access histories are allocated this many at a time, per shadow shard.
+constexpr size_t HistoryBlock = 16;
+
+/// Ends the process: an id past a fixed limit would index past
+/// the runtime's tables, in every build type.
+[[noreturn]] void limitExceeded(const char *What, const char *Limit,
+                                size_t Value) {
+  std::fprintf(stderr,
+               "sampletrack::rt::Runtime: %s limit exceeded (%s = %zu)\n",
+               What, Limit, Value);
+  std::abort();
+}
 
 /// Times one access-hook body into the thread's span tree, aggregate-only:
 /// access hooks fire millions of times per run, so no per-invocation
@@ -114,6 +130,7 @@ struct Runtime::ThreadState {
 struct Runtime::Analysis {
   virtual ~Analysis() = default;
   virtual void addThread(ThreadId T) = 0;
+  virtual void addSync(SyncId S) = 0;
   virtual void access(ThreadId T, uint64_t Addr, uint64_t Cell,
                       bool IsWrite) = 0;
   virtual void sync(ThreadId T, OpKind K, uint32_t Target) = 0;
@@ -151,35 +168,49 @@ struct Runtime::Impl {
 };
 
 /// Runs \p Policy on live threads: per-thread policy state, per-sync state
-/// under a mutex each, access histories in sharded shadow cells.
+/// under a mutex each, access histories in sharded shadow cells. Sync
+/// slots and histories are allocated as the program registers syncs and
+/// claims cells, not up front.
 template <typename Policy> class Runtime::Engine final : public Analysis {
 public:
   Engine(Runtime &Rt, const Config &C)
-      : Rt(Rt), Pol(C.MaxThreads), Threads(C.MaxThreads), Syncs(MaxSyncs),
+      : Rt(Rt), Pol(C.MaxThreads), Threads(C.MaxThreads),
         Cells(C.ShadowCells), Shards(C.ShadowShards) {
     Pol.setPoolingEnabled(C.PoolingEnabled);
   }
 
+  ~Engine() override {
+    // Before Pol: SO's sync state holds references into its pools.
+    for (std::atomic<SyncChunk *> &P : SyncChunks)
+      delete P.load(std::memory_order_relaxed);
+  }
+
   void addThread(ThreadId T) override { Pol.initThread(Threads[T].S, T); }
 
-  void access(ThreadId T, uint64_t Addr, uint64_t Cell,
+  void addSync(SyncId S) override { syncSlot(S); }
+
+  void access(ThreadId T, uint64_t Addr, uint64_t CellId,
               bool IsWrite) override {
     Metrics &M = Rt.I->Threads[T].Stats;
-    Shadow &Sh = Cells[Cell];
-    std::lock_guard<std::mutex> G(Shards[Cell % Shards.size()]);
-    if (Sh.Owner != Addr) {
+    Cell &C = Cells[CellId];
+    Shard &Sh = Shards[CellId % Shards.size()];
+    std::lock_guard<std::mutex> G(Sh.M);
+    if (!C.H) {
+      C.Owner = Addr;
+      C.H = Sh.makeHistory();
+    } else if (C.Owner != Addr) {
       // Direct-mapped ownership: the newcomer claims the cell and the
       // previous owner's history is forgotten. Comparing against a
       // stranger's history would fabricate races TSan's 1:1 shadow
       // mapping cannot produce.
-      Sh.Owner = Addr;
-      Sh.H.reset();
+      C.Owner = Addr;
+      C.H->reset();
     }
-    auto Race = [&] { Rt.reportRace(T, Cell, IsWrite); };
+    auto Race = [&] { Rt.reportRace(T, CellId, IsWrite); };
     if (IsWrite)
-      Pol.write(Threads[T].S, T, Sh.H, M, Race);
+      Pol.write(Threads[T].S, T, *C.H, M, Race);
     else
-      Pol.read(Threads[T].S, T, Sh.H, M, Race);
+      Pol.read(Threads[T].S, T, *C.H, M, Race);
   }
 
   void sync(ThreadId T, OpKind K, uint32_t Target) override {
@@ -195,7 +226,7 @@ public:
         Pol.join(TS, T, Child, Target, M);
       return;
     }
-    SyncSlot &S = Syncs[Target];
+    SyncSlot &S = syncSlot(Target);
     if (K == OpKind::Acquire || K == OpKind::AcquireLoad) {
       if constexpr (Policy::SplitAcquire) {
         typename Policy::Prefix P;
@@ -228,20 +259,57 @@ private:
     std::mutex M;
     typename Policy::Sync S;
   };
-  struct Shadow {
-    /// The address whose history this cell holds (0 = never claimed; real
-    /// addresses are never 0).
+  using SyncChunk = std::array<SyncSlot, SyncChunkSlots>;
+  /// A shadow cell, 16 bytes whatever the policy.
+  struct Cell {
+    /// The address whose history this cell holds.
     uint64_t Owner = 0;
-    typename Policy::History H;
+    /// That history, in the cell's shard (null = never claimed).
+    typename Policy::History *H = nullptr;
   };
+  static_assert(sizeof(Cell) == 16);
+  /// A shadow shard: the mutex over every cell whose index is congruent to
+  /// the shard's, and the histories those cells claimed. Blocks are
+  /// allocated as the cells claim histories, and a history never moves.
+  struct Shard {
+    std::mutex M;
+    std::vector<std::unique_ptr<typename Policy::History[]>> Blocks;
+    size_t Used = 0;
+
+    typename Policy::History *makeHistory() {
+      if (Used % HistoryBlock == 0)
+        Blocks.push_back(
+            std::make_unique<typename Policy::History[]>(HistoryBlock));
+      return &Blocks.back()[Used++ % HistoryBlock];
+    }
+  };
+
+  /// The slot of sync \p S. A registration or a hook, whichever comes
+  /// first, allocates its chunk: concurrent registrations can hand out a
+  /// chunk's later ids before its first, and hooks may name ids that were
+  /// never registered.
+  SyncSlot &syncSlot(uint32_t S) {
+    if (S >= MaxSyncs)
+      limitExceeded("sync id", "Runtime::MaxSyncs", MaxSyncs);
+    std::atomic<SyncChunk *> &P = SyncChunks[S / SyncChunkSlots];
+    SyncChunk *C = P.load(std::memory_order_acquire);
+    if (!C) {
+      auto Fresh = std::make_unique<SyncChunk>();
+      if (P.compare_exchange_strong(C, Fresh.get(),
+                                    std::memory_order_acq_rel))
+        C = Fresh.release();
+    }
+    return (*C)[S % SyncChunkSlots];
+  }
 
   Runtime &Rt;
   // The policy owns the pools, so it outlives the state below.
   Policy Pol;
   std::vector<ThreadSlot> Threads;
-  std::vector<SyncSlot> Syncs;
-  std::vector<Shadow> Cells;
-  std::vector<std::mutex> Shards;
+  std::array<std::atomic<SyncChunk *>, MaxSyncs / SyncChunkSlots>
+      SyncChunks{};
+  std::vector<Cell> Cells;
+  std::vector<Shard> Shards;
 };
 
 Runtime::Runtime(const Config &C) : Cfg(C), I(std::make_unique<Impl>(C)) {
@@ -271,7 +339,8 @@ Runtime::~Runtime() = default;
 
 ThreadId Runtime::registerThread() {
   uint32_t T = I->NextThread.fetch_add(1, std::memory_order_relaxed);
-  assert(T < Cfg.MaxThreads && "thread limit exceeded; raise MaxThreads");
+  if (T >= Cfg.MaxThreads)
+    limitExceeded("thread", "Config::MaxThreads", Cfg.MaxThreads);
   ThreadState &TS = I->Threads[T];
   TS.Registered = true;
   if (I->A)
@@ -302,7 +371,10 @@ ThreadId Runtime::registerThread() {
 
 SyncId Runtime::registerSync() {
   uint32_t S = I->NextSync.fetch_add(1, std::memory_order_relaxed);
-  assert(S < MaxSyncs && "sync limit exceeded");
+  if (S >= MaxSyncs)
+    limitExceeded("sync", "Runtime::MaxSyncs", MaxSyncs);
+  if (I->A)
+    I->A->addSync(S);
   return S;
 }
 

@@ -136,6 +136,11 @@ bool sampletrack::readTrace(std::istream &Is, Trace &Out, std::string *Error) {
     }
     Out.append(E);
   }
+  if (Is.bad()) {
+    if (Error)
+      *Error = "cannot read the trace stream";
+    return false;
+  }
   return true;
 }
 
@@ -230,15 +235,24 @@ bool sampletrack::writeTraceFileBinary(const std::string &Path,
 }
 
 bool sampletrack::sniffBinaryTrace(std::istream &Is) {
-  char Buf[sizeof(BinaryMagic)] = {};
-  std::streampos Pos = Is.tellg();
-  Is.read(Buf, sizeof(Buf));
-  bool Match = Is.gcount() == sizeof(Buf) &&
-               std::memcmp(Buf, BinaryMagic, sizeof(Buf)) == 0;
-  Is.clear();
-  if (!Match)
-    Is.seekg(Pos);
-  return Match;
+  // Consume the magic only while it matches, and put a matched prefix back
+  // on a mismatch: peek, get and putback never seek, so pipes work. A text
+  // trace starts with 'T', '#' or blank space, never with the magic's 'S',
+  // so it consumes nothing.
+  size_t N = 0;
+  while (N < sizeof(BinaryMagic) &&
+         Is.peek() == static_cast<unsigned char>(BinaryMagic[N])) {
+    Is.get();
+    ++N;
+  }
+  if (N == sizeof(BinaryMagic))
+    return true;
+  Is.clear(Is.rdstate() & std::ios::badbit);
+  // A stream that cannot take the bytes back goes bad, and readTrace
+  // reports it.
+  while (N > 0 && Is.putback(BinaryMagic[--N]))
+    ;
+  return false;
 }
 
 bool sampletrack::sniffBinaryTrace(std::string_view &Bytes) {

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/sampling/PeriodSamplers.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/trace/TraceIO.h"
@@ -15,6 +16,7 @@
 #include <sstream>
 #include <streambuf>
 #include <string_view>
+#include <utility>
 
 using namespace sampletrack;
 
@@ -49,6 +51,27 @@ public:
     char *P = const_cast<char *>(Bytes.data());
     setg(P, P, P + Bytes.size());
   }
+};
+
+/// An input stream that hands out one byte at a time and can neither seek
+/// nor take a byte back once it has read the next, like an unbuffered pipe.
+class TrickleBuf : public std::streambuf {
+public:
+  explicit TrickleBuf(std::string Bytes) : Bytes(std::move(Bytes)) {}
+
+protected:
+  int_type underflow() override {
+    if (Next == Bytes.size())
+      return traits_type::eof();
+    Cur = Bytes[Next++];
+    setg(&Cur, &Cur, &Cur + 1);
+    return traits_type::to_int_type(Cur);
+  }
+
+private:
+  std::string Bytes;
+  size_t Next = 0;
+  char Cur = 0;
 };
 
 /// Decodes the binary trace image \p Bytes (magic included) through the
@@ -135,6 +158,41 @@ TEST(BinaryTrace, FileAutoDetectionWorksForBothFormats) {
   }
   std::remove(TextPath.c_str());
   std::remove(BinPath.c_str());
+}
+
+TEST(BinaryTrace, TextTraceReadsFromAStreamThatCannotSeek) {
+  ViewBuf Buf("T0|w(V1)\nT1|w(V1)\nT0|r(V1)\n");
+  std::istream Is(&Buf);
+  ASSERT_EQ(Is.tellg(), std::streampos(-1)) << "the stream must not seek";
+  Is.clear();
+  api::SessionConfig C;
+  C.Engines = {EngineKind::FastTrack};
+  api::AnalysisSession S(C);
+  api::SessionResult R;
+  std::string Err;
+  ASSERT_TRUE(S.run(Is, R, &Err)) << Err;
+  EXPECT_EQ(R.EventsProcessed, 3u);
+  ASSERT_EQ(R.Engines.size(), 1u);
+  // T1's write races T0's, and T0's read races T1's write.
+  EXPECT_EQ(R.Engines[0].NumRaces, 2u);
+}
+
+TEST(BinaryTrace, UnrestorableSniffIsAnErrorNotAnEmptyTrace) {
+  // Starts like the magic, so the sniff reads two bytes it cannot put back.
+  TrickleBuf Buf("STX\n");
+  std::istream Is(&Buf);
+  EXPECT_FALSE(sniffBinaryTrace(Is));
+  Trace T;
+  std::string Err;
+  EXPECT_FALSE(readTrace(Is, T, &Err));
+  EXPECT_NE(Err.find("cannot read"), std::string::npos) << Err;
+
+  // A text trace never starts like the magic: nothing to put back.
+  TrickleBuf Text("T0|w(V1)\nT1|w(V1)\n");
+  std::istream Ts(&Text);
+  EXPECT_FALSE(sniffBinaryTrace(Ts));
+  ASSERT_TRUE(readTrace(Ts, T, &Err)) << Err;
+  EXPECT_EQ(T.size(), 2u);
 }
 
 TEST(BinaryTrace, RejectsTruncatedAndCorruptInput) {
