@@ -746,7 +746,7 @@ SessionResult AnalysisSession::finish() {
     } else {
       // Sharded lane: fold the shards back into exactly the unsharded
       // numbers. Metrics sum field-wise (the dispatch contract makes the
-      // sum exact — see Detector::batchDispatchSharded), racy-location
+      // sum exact — see PolicyEngine::batchSharded), racy-location
       // sets are disjoint by construction, and the sinks merge through
       // the position-ordered re-capping of mergeShardSummaries.
       std::vector<triage::TriageSummary> ShardSummaries;
@@ -773,10 +773,11 @@ SessionResult AnalysisSession::finish() {
 
   if (IngestTree) {
     // session/finish covers the sink/metric merge above; the session root
-    // covers the whole run (count 1) and carries the deterministic stream
-    // counters.
-    IngestTree->addSpan(FinishNode, FinishT0, nowNanos());
-    IngestTree->addSpan(SessionNode, StartNanos, StartNanos + R.WallNanos);
+    // covers the whole run, finish included (count 1), and carries the
+    // deterministic stream counters.
+    const uint64_t FinishT1 = nowNanos();
+    IngestTree->addSpan(FinishNode, FinishT0, FinishT1);
+    IngestTree->addSpan(SessionNode, StartNanos, FinishT1);
     IngestTree->counterEvent(SessionNode, "events", EventsProcessed);
     IngestTree->counterEvent(SessionNode, "sampledAccesses", SampleSize);
     R.Profile = Prof->report();

@@ -1,149 +1,27 @@
-//===- detectors/Detector.cpp - Detector interface --------------------------=//
+//===- detectors/Detector.cpp - The engines ---------------------------------=//
 //
 // Part of the SampleTrack project.
 // SPDX-License-Identifier: Apache-2.0
 //
 //===----------------------------------------------------------------------===//
 
-#include "sampletrack/detectors/Detector.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 
-#include <cassert>
 #include <sstream>
 
 using namespace sampletrack;
 
-void Detector::processEvent(const Event &E, bool Sampled) {
-  assert(!shardCount() && "sharded instances are driven via "
-                         "processShardBatch / processBatchGeneric");
-#ifndef NDEBUG
-  DriverScope Guard(*this); // Lane-affinity: no concurrent re-entry.
-#endif
-  ++Stats.Events;
-  switch (E.Kind) {
-  case OpKind::Read:
-    ++Stats.Accesses;
-    if (Sampled)
-      ++Stats.SampledAccesses;
-    onRead(E.Tid, E.var(), Sampled);
-    break;
-  case OpKind::Write:
-    ++Stats.Accesses;
-    if (Sampled)
-      ++Stats.SampledAccesses;
-    onWrite(E.Tid, E.var(), Sampled);
-    break;
-  case OpKind::Acquire:
-    onAcquire(E.Tid, E.sync());
-    break;
-  case OpKind::Release:
-    onRelease(E.Tid, E.sync());
-    break;
-  case OpKind::Fork:
-    onFork(E.Tid, E.childThread());
-    break;
-  case OpKind::Join:
-    onJoin(E.Tid, E.childThread());
-    break;
-  case OpKind::ReleaseStore:
-    onReleaseStore(E.Tid, E.sync());
-    break;
-  case OpKind::ReleaseJoin:
-    onReleaseJoin(E.Tid, E.sync());
-    break;
-  case OpKind::AcquireLoad:
-    onAcquireLoad(E.Tid, E.sync());
-    break;
-  }
-  ++Position;
-}
-
-void Detector::processEventSharded(const Event &E, bool Sampled) {
-#ifndef NDEBUG
-  DriverScope Guard(*this); // Lane-affinity: no concurrent re-entry.
-#endif
-  switch (E.Kind) {
-  case OpKind::Read:
-  case OpKind::Write:
-    if (static_cast<uint32_t>(E.var() % shardCount()) == ShardIdx) {
-      ++Stats.Events;
-      ++Stats.Accesses;
-      if (Sampled)
-        ++Stats.SampledAccesses;
-      if (E.Kind == OpKind::Read)
-        onRead(E.Tid, E.var(), Sampled);
-      else
-        onWrite(E.Tid, E.var(), Sampled);
-    } else if (Sampled) {
-      onForeignSampledAccess(E.Tid);
-    }
-    break;
-  default: {
-    // Sync events replicate into every shard for their clock-state effect;
-    // only shard 0 accounts for them (batchDispatchSharded explains why the
-    // shard-summed metrics then match sequential field-for-field).
-    const bool CountsSync = ShardIdx == 0;
-    Metrics Saved;
-    if (!CountsSync)
-      Saved = Stats;
-    else
-      ++Stats.Events;
-    switch (E.Kind) {
-    case OpKind::Acquire:
-      onAcquire(E.Tid, E.sync());
-      break;
-    case OpKind::Release:
-      onRelease(E.Tid, E.sync());
-      break;
-    case OpKind::Fork:
-      onFork(E.Tid, E.childThread());
-      break;
-    case OpKind::Join:
-      onJoin(E.Tid, E.childThread());
-      break;
-    case OpKind::ReleaseStore:
-      onReleaseStore(E.Tid, E.sync());
-      break;
-    case OpKind::ReleaseJoin:
-      onReleaseJoin(E.Tid, E.sync());
-      break;
-    case OpKind::AcquireLoad:
-      onAcquireLoad(E.Tid, E.sync());
-      break;
-    default:
-      break; // Read/Write handled above.
-    }
-    if (!CountsSync)
-      Stats = Saved;
-    break;
-  }
-  }
-  ++Position;
-}
-
-void Detector::processBatch(std::span<const Event> Events,
-                            std::span<const uint8_t> Sampled) {
-  processBatchGeneric(Events, Sampled);
-}
-
-void Detector::processShardBatch(std::span<const Event> Events,
-                                 std::span<const uint8_t> Sampled,
-                                 std::span<const uint8_t> Owners) {
-  assert(Events.size() == Owners.size() && "one owner per event");
-  (void)Owners;
-  processBatchGeneric(Events, Sampled);
-}
-
-void Detector::processBatchGeneric(std::span<const Event> Events,
-                                   std::span<const uint8_t> Sampled) {
-  assert(Events.size() == Sampled.size() && "one decision per event");
-  if (shardCount()) {
-    for (size_t I = 0, N = Events.size(); I < N; ++I)
-      processEventSharded(Events[I], Sampled[I] != 0);
-    return;
-  }
-  for (size_t I = 0, N = Events.size(); I < N; ++I)
-    processEvent(Events[I], Sampled[I] != 0);
-}
+// Every engine's loops and handlers, compiled once.
+template struct sampletrack::PolicyEngine<FastTrackPolicy>;
+template struct sampletrack::PolicyEngine<SamplingNaivePolicy>;
+template struct sampletrack::PolicyEngine<SamplingUClockPolicy>;
+template struct sampletrack::PolicyEngine<SamplingOrderedListPolicy>;
+template struct sampletrack::PolicyEngine<TreeClockPolicy>;
+template class sampletrack::PolicyDetector<FastTrackPolicy>;
+template class sampletrack::PolicyDetector<SamplingNaivePolicy>;
+template class sampletrack::PolicyDetector<SamplingUClockPolicy>;
+template class sampletrack::PolicyDetector<SamplingOrderedListPolicy>;
+template class sampletrack::PolicyDetector<TreeClockPolicy>;
 
 std::string Metrics::str() const {
   std::ostringstream OS;

@@ -7,12 +7,10 @@
 
 #include "sampletrack/detectors/DetectorFactory.h"
 
-#include "sampletrack/detectors/DjitDetector.h"
 #include "sampletrack/detectors/FastTrackDetector.h"
 #include "sampletrack/detectors/SamplingNaiveDetector.h"
 #include "sampletrack/detectors/SamplingOrderedListDetector.h"
 #include "sampletrack/detectors/SamplingUClockDetector.h"
-#include "sampletrack/detectors/TreeClockDetector.h"
 
 #include <algorithm>
 #include <cctype>
@@ -81,7 +79,9 @@ std::unique_ptr<Detector> sampletrack::createDetector(EngineKind K,
                                                       size_t NumThreads) {
   switch (K) {
   case EngineKind::Djit:
-    return std::make_unique<DjitDetector>(NumThreads);
+    // Djit+ is FastTrack's policy over vector-clock histories.
+    return std::make_unique<PolicyDetector<FastTrackPolicy>>(
+        "Djit+", NumThreads, HistoryKind::VectorClocks);
   case EngineKind::FastTrack:
     return std::make_unique<FastTrackDetector>(NumThreads);
   case EngineKind::SamplingNaive:
@@ -97,7 +97,8 @@ std::unique_ptr<Detector> sampletrack::createDetector(EngineKind K,
                                                          /*LocalEpochOpt=*/
                                                          false);
   case EngineKind::TreeClockFull:
-    return std::make_unique<TreeClockDetector>(NumThreads);
+    return std::make_unique<PolicyDetector<TreeClockPolicy>>(
+        "TC", NumThreads, HistoryKind::VectorClocks);
   }
   return nullptr;
 }

@@ -114,8 +114,10 @@ struct SessionResult {
   /// The tree's shape, counts and counters are deterministic — identical
   /// across worker and shard counts — and the same single measurements
   /// feed the legacy fields: session/ingest's nanos are IngestNanos,
-  /// session/analyze/<engine>'s nanos are that lane's WallNanos. Strip
-  /// timing (\ref stripTiming) before comparing runs.
+  /// session/analyze/<engine>'s nanos are that lane's WallNanos. The
+  /// session span runs from begin() to the end of finish(), so in a
+  /// sequential run the exclusive times of all nodes sum to its inclusive
+  /// time. Strip timing (\ref stripTiming) before comparing runs.
   prof::Report Profile;
 
   /// Lane lookup by engine name; nullptr if absent.

@@ -102,17 +102,24 @@ struct SessionConfig {
   /// fall back to MaxThreads.
   size_t NumThreads = 0;
 
-  // -- Hot-path toggles (differential-harness axes) ---------------------
-  /// Serve clock-snapshot buffers from the per-detector SnapshotPool (the
-  /// zero-allocation copy-on-write path). Off = plain heap allocation per
-  /// copy. Results are bit-identical either way; only Metrics::PoolHits
-  /// (and allocator traffic) moves. Also forwarded to the online runtime
-  /// via \ref runtimeConfig.
+  // -- Test seams (differential-harness axes) ----------------------------
+  // Neither changes a result; production runs leave both at their
+  // defaults. They are public fields because the harnesses drive whole
+  // sessions (DifferentialFuzzTest, ShardDeterminismTest,
+  // OnlineOfflineTest) through the same SessionConfig a user writes, so
+  // the seam sits on the path it checks rather than behind a test hook.
+  /// Test seam: serve clock-snapshot buffers from the per-detector
+  /// SnapshotPool (the zero-allocation copy-on-write path). Off = plain
+  /// heap allocation per copy. Results are bit-identical either way; only
+  /// Metrics::PoolHits (and allocator traffic) moves. It stays public for
+  /// a second reason: \ref runtimeConfig forwards it to
+  /// rt::Config::PoolingEnabled, so the online runtime's pooled and
+  /// unpooled paths are compared against the same offline session.
   bool PoolingEnabled = true;
-  /// Drive lanes through the generic per-event reference loop instead of
-  /// the engines' devirtualized processBatch overrides. Bit-identical and
-  /// slower; exists so the differential harness can prove the batch paths
-  /// equivalent.
+  /// Test seam: drive lanes through the per-event reference loop
+  /// (Detector::processBatchGeneric) instead of the batch loops.
+  /// Bit-identical and slower; it is the independent path the harness
+  /// holds the batch loops to.
   bool PerEventDispatch = false;
 
   // -- Race triage (the warehouse workflow) -----------------------------

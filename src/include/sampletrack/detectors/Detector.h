@@ -7,10 +7,16 @@
 ///
 /// \file
 /// The streaming race-detector interface shared by all engines (Djit+,
-/// FastTrack, and the three sampling engines ST/SU/SO). A detector consumes
-/// one event at a time; access events carry the sampling decision, realizing
-/// the adaptive "marked events" formulation of the Analysis Problem
-/// (Problem 1). Synchronization events are always processed.
+/// FastTrack, the three sampling engines ST/SU/SO and the tree-clock
+/// ablation TC). A detector consumes batches of events; access events carry
+/// the sampling decision, realizing the adaptive "marked events"
+/// formulation of the Analysis Problem (Problem 1). Synchronization events
+/// are always processed.
+///
+/// The interface is type-erased at batch granularity only. The per-event
+/// path (sampletrack/detectors/PolicyDetector.h) runs on plain,
+/// non-polymorphic state: \ref LaneState plus the engine policy's thread,
+/// sync and history tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +28,6 @@
 #include "sampletrack/trace/Event.h"
 #include "sampletrack/triage/RaceSink.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <span>
@@ -32,156 +37,14 @@
 
 namespace sampletrack {
 
-// RaceReport now lives with the triage subsystem (its identity layer);
-// sampletrack/triage/RaceSignature.h defines it and this header re-exposes
-// it unchanged for every existing consumer.
+/// What every engine lane records, whatever its policy: the stream
+/// position, the metrics, the race sink with its racy-location set, and
+/// the shard layout. Plain data, so the per-event path that updates it
+/// never touches a polymorphic object.
+struct LaneState {
+  explicit LaneState(size_t NumThreads) : NumThreads(NumThreads) {}
 
-/// Base class of every race-detection engine.
-///
-/// Subclasses implement the virtual handlers; the base records races,
-/// metrics and the stream position. Handlers must be called in trace order.
-/// Thread ids must be < the NumThreads given at construction.
-///
-/// Concurrency contract (the parallel-lane mode of api::AnalysisSession
-/// relies on it): a detector instance is lane-local — all mutable state,
-/// including the race buffer behind races()/racesTruncated(), belongs to
-/// whichever thread is currently driving processEvent/processBatch, and
-/// drivers must hand the instance off with a happens-before edge (a join,
-/// a mutex as SessionHooks uses, or the acquire/release claim of the
-/// session's parallel executor). Nothing here is synchronized; running
-/// K detectors on K threads is safe precisely because no two lanes share
-/// an instance. Debug builds assert that no two threads are ever inside
-/// one instance at the same time.
-class Detector {
-public:
-  explicit Detector(size_t NumThreads) : NumThreads(NumThreads) {}
-  virtual ~Detector() = default;
-
-  /// Engine name as used in the paper ("FT", "ST", "SU", "SO", ...).
-  virtual std::string name() const = 0;
-
-  /// \p Sampled is the sampling decision for this access (membership in S).
-  virtual void onRead(ThreadId T, VarId X, bool Sampled) = 0;
-  virtual void onWrite(ThreadId T, VarId X, bool Sampled) = 0;
-
-  virtual void onAcquire(ThreadId T, SyncId L) = 0;
-  virtual void onRelease(ThreadId T, SyncId L) = 0;
-  virtual void onFork(ThreadId Parent, ThreadId Child) = 0;
-  virtual void onJoin(ThreadId Parent, ThreadId Child) = 0;
-
-  /// Non-mutex synchronization (appendix A.2). Defaults map them onto the
-  /// mutex-style handlers conservatively; the sampling engines override
-  /// with the appendix's specialized treatment.
-  virtual void onReleaseStore(ThreadId T, SyncId S) = 0;
-  virtual void onReleaseJoin(ThreadId T, SyncId S) = 0;
-  virtual void onAcquireLoad(ThreadId T, SyncId S) = 0;
-
-  /// Sharded mode only: a *sampled* access owned by another shard. The
-  /// access itself is analyzed exactly once (by the owning shard), but any
-  /// per-thread side effect it would have had must replicate everywhere so
-  /// each shard's clock state evolves exactly as an unsharded run's. For
-  /// the sampling engines that side effect is the dirty bit gating the
-  /// release-side epoch flush (Algorithm 2, Line 19); engines whose access
-  /// handlers are purely variable-local (FT, Djit+, TC) keep the no-op.
-  virtual void onForeignSampledAccess(ThreadId T) { (void)T; }
-
-  /// Dispatches \p E to the right handler and advances the stream position.
-  /// \p Sampled is ignored for non-access events.
-  void processEvent(const Event &E, bool Sampled);
-
-  /// Batched ingestion: dispatches Events[I] with decision Sampled[I]
-  /// (nonzero = in S; only meaningful for access events). Bit-identical to
-  /// calling \ref processEvent once per element; every engine overrides it
-  /// with a devirtualized loop (\ref batchDispatch) that crosses the
-  /// virtual boundary once per batch instead of once per event. Unsharded
-  /// instances only; a shard takes \ref processShardBatch.
-  virtual void processBatch(std::span<const Event> Events,
-                            std::span<const uint8_t> Sampled);
-
-  /// Batched ingestion for a shard (\ref setShard): \p Owners is the
-  /// batch's routing, ShardMap(shardCount()).route(Events), which a driver
-  /// computes once per batch and shares across the lane's shards. Every
-  /// engine overrides it with \ref batchDispatchSharded, whose per-batch
-  /// cost tracks the shard's own events. Bit-identical to
-  /// \ref processBatchGeneric.
-  virtual void processShardBatch(std::span<const Event> Events,
-                                 std::span<const uint8_t> Sampled,
-                                 std::span<const uint8_t> Owners);
-
-  /// The per-event reference loop (what \ref processBatch and
-  /// \ref processShardBatch do on a plain Detector). A shard routes each
-  /// event here with a plain VarId % shardCount(), independently of
-  /// ShardMap. Kept separately callable so harnesses can differential-test
-  /// an engine's batch overrides against it (SessionConfig::PerEventDispatch
-  /// routes lanes here).
-  void processBatchGeneric(std::span<const Event> Events,
-                           std::span<const uint8_t> Sampled);
-
-  /// Routes snapshot buffers through (or around) the engine's SnapshotPool.
-  /// Engines without pooled state ignore it. Call before the first event;
-  /// the differential harness runs pooled against unpooled lanes.
-  virtual void setPoolingEnabled(bool) {}
-
-  size_t numThreads() const { return NumThreads; }
-  const Metrics &metrics() const { return Stats; }
-
-  /// Deduplicated race reports: the *first* report per race signature, in
-  /// first-seen order (the compatibility view over the triage sink that
-  /// replaced the historical grow-only race list). Re-declarations of the
-  /// same logical race bump a hit counter instead of appending — read
-  /// \ref raceSink for the counts.
-  const std::vector<RaceReport> &races() const { return Sink.exemplars(); }
-
-  /// True iff the sink ran out of distinct-signature capacity, i.e. some
-  /// logical race has no exemplar in \ref races. Duplicate declarations
-  /// never truncate (they dedup); RacesDeclared counts every declaration
-  /// either way. Lane-local like every other accessor: only meaningful on
-  /// the driving thread, or after the run has been joined
-  /// (api::AnalysisSession::finish reads it strictly after its lane
-  /// workers exit).
-  bool racesTruncated() const { return Sink.capped(); }
-
-  /// Default distinct-signature capacity of the race sink (the truncation
-  /// threshold the tests probe; RacesDeclared keeps counting past it).
-  static constexpr size_t maxStoredRaces() {
-    return triage::RaceSink::DefaultCapacity;
-  }
-
-  /// Number of distinct race signatures declared so far.
-  uint64_t distinctRaces() const { return Sink.distinct(); }
-
-  /// The dedup sink behind declareRace — hit counts, exemplars and the
-  /// overflow accounting (feeds the warehouse via summary()).
-  const triage::RaceSink &raceSink() const { return Sink; }
-
-  /// Rebounds the sink's distinct-signature capacity. Must be called
-  /// before the first event (api::AnalysisSession forwards
-  /// SessionConfig::TriageCapacity here).
-  void setRaceCapacity(size_t Capacity) { Sink.setCapacity(Capacity); }
-
-  /// Transfers the stored exemplars out without copying. Leaves \ref races
-  /// empty; read \ref racesTruncated and \ref raceSink before calling.
-  std::vector<RaceReport> takeRaces() { return Sink.takeExemplars(); }
-
-  /// Distinct memory locations on which at least one race was declared (the
-  /// paper's "racy locations" of Fig. 6(a)).
-  const std::unordered_set<VarId> &racyLocations() const {
-    return RacyLocations;
-  }
-
-  /// Stream position (index of the next event).
-  uint64_t position() const { return Position; }
-
-  /// Configures this instance as shard \p Index of \p Count in a sharded
-  /// single-engine run (api::AnalysisSession calls it for
-  /// SessionConfig::Shards >= 2). The shard owns exactly the variables with
-  /// VarId % Count == Index (\ref ShardMap): it analyzes their accesses,
-  /// replicates every sync event (so its per-thread clock state is
-  /// byte-identical to an unsharded run's), sees foreign sampled accesses
-  /// only through \ref onForeignSampledAccess, and skips every other
-  /// foreign access without touching it. Drive it with
-  /// \ref processShardBatch (or \ref processBatchGeneric). Must be called
-  /// before the first event.
+  /// See Detector::setShard.
   void setShard(uint32_t Index, uint32_t Count) {
     assert(Position == 0 && "shard layout must be fixed before any event");
     assert(Count >= 2 && Index < Count && "index out of range");
@@ -189,204 +52,13 @@ public:
     Map = ShardMap(Count);
   }
 
-  /// Shard count this instance was configured with; 0 when unsharded.
-  uint32_t shardCount() const { return Map.count(); }
-  uint32_t shardIndex() const { return ShardIdx; }
-
-protected:
   /// Dense per-shard slot of an owned VarId: only VarIds congruent to
-  /// shardIndex() arrive at a shard's access handlers, so dividing by the
+  /// ShardIdx arrive at a shard's access handlers, so dividing by the
   /// shard count (ShardMap::slot, no hardware divide) packs each shard's
   /// shadow table to ~1/Count the unsharded footprint instead of leaving
   /// Count-1 holes per owned variable.
   size_t varSlot(VarId X) const {
     return static_cast<size_t>(Map.count() ? Map.slot(X) : X);
-  }
-  /// The devirtualized batch loop behind every engine's processBatch
-  /// override: one lane-guard entry and one bulk stats update per batch,
-  /// a direct switch on OpKind per event, and — when \p SkipUnsampled is
-  /// set (engines whose access handlers no-op on unsampled events, i.e.
-  /// the sampling engines and the tree-clock ablation) — an early fast
-  /// path that skips the handler call entirely for the ~99%+ of accesses
-  /// outside S. Handler calls are explicitly qualified with \p Concrete,
-  /// the class that defines them, so they compile to direct (inlinable)
-  /// calls;
-  /// the virtual boundary is crossed once per batch by the processBatch
-  /// override itself. Bit-identical to processEvent per element: the
-  /// stream position still advances per event (declareRace records it),
-  /// and the bulk counter updates commute.
-  template <bool SkipUnsampled, typename Concrete>
-  static void batchDispatch(Concrete &Self, std::span<const Event> Events,
-                            std::span<const uint8_t> Sampled) {
-    assert(Events.size() == Sampled.size() && "one decision per event");
-    assert(!Self.shardCount() && "a shard is driven by processShardBatch");
-#ifndef NDEBUG
-    DriverScope Guard(Self);
-#endif
-    uint64_t Accesses = 0, SampledAccesses = 0;
-    for (size_t I = 0, N = Events.size(); I < N; ++I) {
-      const Event &E = Events[I];
-      switch (E.Kind) {
-      case OpKind::Read:
-      case OpKind::Write: {
-        ++Accesses;
-        bool IsSampled = Sampled[I] != 0;
-        SampledAccesses += IsSampled ? 1 : 0;
-        if (SkipUnsampled && !IsSampled)
-          break;
-        if (E.Kind == OpKind::Read)
-          Self.Concrete::onRead(E.Tid, E.var(), IsSampled);
-        else
-          Self.Concrete::onWrite(E.Tid, E.var(), IsSampled);
-        break;
-      }
-      case OpKind::Acquire:
-        Self.Concrete::onAcquire(E.Tid, E.sync());
-        break;
-      case OpKind::Release:
-        Self.Concrete::onRelease(E.Tid, E.sync());
-        break;
-      case OpKind::Fork:
-        Self.Concrete::onFork(E.Tid, E.childThread());
-        break;
-      case OpKind::Join:
-        Self.Concrete::onJoin(E.Tid, E.childThread());
-        break;
-      case OpKind::ReleaseStore:
-        Self.Concrete::onReleaseStore(E.Tid, E.sync());
-        break;
-      case OpKind::ReleaseJoin:
-        Self.Concrete::onReleaseJoin(E.Tid, E.sync());
-        break;
-      case OpKind::AcquireLoad:
-        Self.Concrete::onAcquireLoad(E.Tid, E.sync());
-        break;
-      }
-      ++Self.Position;
-    }
-    Self.Stats.Events += Events.size();
-    Self.Stats.Accesses += Accesses;
-    Self.Stats.SampledAccesses += SampledAccesses;
-  }
-
-  /// One sync event to its handler, devirtualized like \ref batchDispatch.
-  template <typename Concrete>
-  static void dispatchSync(Concrete &Self, const Event &E) {
-    switch (E.Kind) {
-    case OpKind::Acquire:
-      Self.Concrete::onAcquire(E.Tid, E.sync());
-      break;
-    case OpKind::Release:
-      Self.Concrete::onRelease(E.Tid, E.sync());
-      break;
-    case OpKind::Fork:
-      Self.Concrete::onFork(E.Tid, E.childThread());
-      break;
-    case OpKind::Join:
-      Self.Concrete::onJoin(E.Tid, E.childThread());
-      break;
-    case OpKind::ReleaseStore:
-      Self.Concrete::onReleaseStore(E.Tid, E.sync());
-      break;
-    case OpKind::ReleaseJoin:
-      Self.Concrete::onReleaseJoin(E.Tid, E.sync());
-      break;
-    case OpKind::AcquireLoad:
-      Self.Concrete::onAcquireLoad(E.Tid, E.sync());
-      break;
-    case OpKind::Read:
-    case OpKind::Write:
-      assert(false && "an access routed as a sync event");
-      break;
-    }
-  }
-
-  /// \ref batchDispatch for a shard of a sharded run (shardCount() >= 2).
-  /// Same devirtualization contract, different routing. \p Owners is the
-  /// batch's routing (ShardMap::route), computed once by the driver and
-  /// shared by every shard of the lane, so no shard re-derives an owner.
-  /// ShardMap::visits turns each 64 owners into a bit mask of the events
-  /// this shard must see, and only those reach a handler, so a shard's
-  /// cost per batch tracks its own work:
-  ///   - its own accesses, analyzed as sequential would;
-  ///   - every sync event, replicated so the per-thread clock state
-  ///     evolves exactly as sequential;
-  ///   - foreign *sampled* accesses, collapsed to the
-  ///     \ref onForeignSampledAccess side-effect hook — only when
-  ///     \p ForeignHook is set, i.e. the engine overrides the hook (the
-  ///     sampling engines' dirty bit). For every other engine the hook is
-  ///     the base no-op, and foreign accesses cost nothing here.
-  /// Metrics stay a field-wise *sum* over shards: access-side counters are
-  /// naturally disjoint, and the replicated sync-side work is attributed
-  /// to shard 0 only (the other shards run each run of consecutive sync
-  /// handlers for its state effect under one save/restore of Stats).
-  /// Position still advances over *every* event, owned or not, so exemplar
-  /// positions are globally comparable and the per-shard sink merge can
-  /// reproduce sequential first-seen order (triage::mergeShardSummaries).
-  template <bool SkipUnsampled, bool ForeignHook, typename Concrete>
-  static void batchDispatchSharded(Concrete &Self,
-                                   std::span<const Event> Events,
-                                   std::span<const uint8_t> Sampled,
-                                   std::span<const uint8_t> Owners) {
-    assert(Events.size() == Sampled.size() && "one decision per event");
-    assert(Events.size() == Owners.size() && "one owner per event");
-    assert(Self.shardCount() >= 2 && "sharded dispatch on an unsharded lane");
-#ifndef NDEBUG
-    DriverScope Guard(Self);
-#endif
-    const size_t N = Events.size();
-    const uint32_t Me = Self.ShardIdx;
-    const bool CountsSync = Me == 0;
-    const uint64_t Base = Self.Position;
-    uint64_t SyncEvents = 0, Accesses = 0, SampledAccesses = 0;
-    // Set while a non-primary shard is inside a run of sync events.
-    bool Saving = false;
-    Metrics Saved;
-    for (size_t W = 0; W < N; W += 64) {
-      const size_t Len = std::min<size_t>(64, N - W);
-      uint64_t Visit = ShardMap::visits(Owners.subspan(W, Len),
-                                        Sampled.subspan(W, Len), Me,
-                                        ForeignHook);
-      for (; Visit; Visit &= Visit - 1) {
-        const size_t I = W + static_cast<size_t>(__builtin_ctzll(Visit));
-        const Event &E = Events[I];
-        const uint8_t O = Owners[I];
-        if (O == ShardMap::Replicated) {
-          if (!CountsSync && !Saving) {
-            Saved = Self.Stats;
-            Saving = true;
-          }
-          ++SyncEvents;
-          Self.Position = Base + I;
-          dispatchSync<Concrete>(Self, E);
-          continue;
-        }
-        if (Saving) {
-          Self.Stats = Saved;
-          Saving = false;
-        }
-        if (O != Me) {
-          Self.Concrete::onForeignSampledAccess(E.Tid);
-          continue;
-        }
-        ++Accesses;
-        bool IsSampled = Sampled[I] != 0;
-        SampledAccesses += IsSampled ? 1 : 0;
-        if (SkipUnsampled && !IsSampled)
-          continue;
-        Self.Position = Base + I;
-        if (E.Kind == OpKind::Read)
-          Self.Concrete::onRead(E.Tid, E.var(), IsSampled);
-        else
-          Self.Concrete::onWrite(E.Tid, E.var(), IsSampled);
-      }
-    }
-    if (Saving)
-      Self.Stats = Saved;
-    Self.Position = Base + N;
-    Self.Stats.Events += Accesses + (CountsSync ? SyncEvents : 0);
-    Self.Stats.Accesses += Accesses;
-    Self.Stats.SampledAccesses += SampledAccesses;
   }
 
   /// Records a race declaration at the current stream position. The hot
@@ -399,43 +71,161 @@ protected:
     Sink.insert(RaceReport{Position, T, X, K});
   }
 
-  Metrics Stats;
-
-private:
-  /// The per-event reference loop body for one shard of a sharded run —
-  /// what \ref processBatchGeneric calls per element when shardCount() >= 2
-  /// (the sharded counterpart of \ref processEvent, virtual dispatch and
-  /// all, so the differential harness can cross-check the devirtualized
-  /// sharded batch loop against it).
-  void processEventSharded(const Event &E, bool Sampled);
-
-  size_t NumThreads;
+  const size_t NumThreads;
   uint32_t ShardIdx = 0;
   ShardMap Map; // count() == 0: unsharded.
+  /// Index of the next event.
   uint64_t Position = 0;
+  Metrics Stats;
   triage::RaceSink Sink;
   std::unordered_set<VarId> RacyLocations;
 
-  /// Lane-affinity guard: set while a thread is inside processEvent. Two
+  /// Lane-affinity guard: set while a thread drives the lane. Two
   /// overlapping drivers mean two lanes share one detector — the exact bug
   /// class parallel sessions must never exhibit. The member is present in
-  /// every build (so the class layout never depends on NDEBUG); only the
+  /// every build (so the layout never depends on NDEBUG); only the
   /// checking scope below is debug-only.
   std::atomic<bool> InHandler{false};
 
 #ifndef NDEBUG
   struct DriverScope {
-    explicit DriverScope(Detector &D) : D(D) {
-      bool WasBusy = D.InHandler.exchange(true, std::memory_order_acquire);
+    explicit DriverScope(LaneState &L) : L(L) {
+      bool WasBusy = L.InHandler.exchange(true, std::memory_order_acquire);
       assert(!WasBusy &&
              "detector entered concurrently; each lane owns its detector");
       (void)WasBusy;
     }
-    ~DriverScope() { D.InHandler.store(false, std::memory_order_release); }
-    Detector &D;
+    ~DriverScope() { L.InHandler.store(false, std::memory_order_release); }
+    LaneState &L;
   };
-  friend struct DriverScope;
 #endif
+};
+
+/// Base class of every race-detection engine: the type-erased lane
+/// interface (name, batch entry points, shard setup, pooling and the
+/// result accessors). Batches must arrive in trace order. Thread ids must
+/// be < the NumThreads given at construction.
+///
+/// Concurrency contract (the parallel-lane mode of api::AnalysisSession
+/// relies on it): a detector instance is lane-local — all mutable state,
+/// including the race buffer behind races()/racesTruncated(), belongs to
+/// whichever thread is currently driving a batch, and drivers must hand
+/// the instance off with a happens-before edge (a join, a mutex as
+/// SessionHooks uses, or the acquire/release claim of the session's
+/// parallel executor). Nothing here is synchronized; running K detectors
+/// on K threads is safe precisely because no two lanes share an instance.
+/// Debug builds assert that no two threads are ever inside one instance
+/// at the same time.
+class Detector {
+public:
+  virtual ~Detector() = default;
+
+  /// Engine name as used in the paper ("FT", "ST", "SU", "SO", ...).
+  const std::string &name() const { return Name; }
+
+  /// One event, through the per-event reference loop. \p Sampled is
+  /// ignored for non-access events. Unsharded instances only.
+  void processEvent(const Event &E, bool Sampled) {
+    assert(!shardCount() && "a shard is driven by processShardBatch");
+    const uint8_t Decision = Sampled ? 1 : 0;
+    processBatchGeneric({&E, 1}, {&Decision, 1});
+  }
+
+  /// Batched ingestion: dispatches Events[I] with decision Sampled[I]
+  /// (nonzero = in S; only meaningful for access events) through the
+  /// engine's batch loop, crossing the virtual boundary once per batch.
+  /// Bit-identical to \ref processBatchGeneric. Unsharded instances only;
+  /// a shard takes \ref processShardBatch.
+  virtual void processBatch(std::span<const Event> Events,
+                            std::span<const uint8_t> Sampled) = 0;
+
+  /// Batched ingestion for a shard (\ref setShard): \p Owners is the
+  /// batch's routing, ShardMap(shardCount()).route(Events), which a driver
+  /// computes once per batch and shares across the lane's shards. The
+  /// per-batch cost tracks the shard's own events. Bit-identical to
+  /// \ref processBatchGeneric.
+  virtual void processShardBatch(std::span<const Event> Events,
+                                 std::span<const uint8_t> Sampled,
+                                 std::span<const uint8_t> Owners) = 0;
+
+  /// The per-event reference loop. A shard routes each event here with a
+  /// plain VarId % shardCount(), independently of ShardMap. Kept
+  /// separately callable so harnesses can differential-test the batch
+  /// loops against it (SessionConfig::PerEventDispatch routes lanes here).
+  virtual void processBatchGeneric(std::span<const Event> Events,
+                                   std::span<const uint8_t> Sampled) = 0;
+
+  /// Routes snapshot buffers through (or around) the engine's SnapshotPool.
+  /// Engines without pooled state ignore it. Call before the first event;
+  /// the differential harness runs pooled against unpooled lanes.
+  virtual void setPoolingEnabled(bool Enabled) = 0;
+
+  size_t numThreads() const { return Lane.NumThreads; }
+  const Metrics &metrics() const { return Lane.Stats; }
+
+  /// Deduplicated race reports: the *first* report per race signature, in
+  /// first-seen order. Re-declarations of the same logical race bump a
+  /// hit counter instead of appending — read \ref raceSink for the counts.
+  const std::vector<RaceReport> &races() const {
+    return Lane.Sink.exemplars();
+  }
+
+  /// True iff the sink ran out of distinct-signature capacity, i.e. some
+  /// logical race has no exemplar in \ref races. Duplicate declarations
+  /// never truncate (they dedup); RacesDeclared counts every declaration
+  /// either way. Lane-local like every other accessor: only meaningful on
+  /// the driving thread, or after the run has been joined
+  /// (api::AnalysisSession::finish reads it strictly after its lane
+  /// workers exit).
+  bool racesTruncated() const { return Lane.Sink.capped(); }
+
+  /// Number of distinct race signatures declared so far.
+  uint64_t distinctRaces() const { return Lane.Sink.distinct(); }
+
+  /// The dedup sink behind race declarations — hit counts, exemplars and
+  /// the overflow accounting (feeds the warehouse via summary()).
+  const triage::RaceSink &raceSink() const { return Lane.Sink; }
+
+  /// Rebounds the sink's distinct-signature capacity. Must be called
+  /// before the first event (api::AnalysisSession forwards
+  /// SessionConfig::TriageCapacity here).
+  void setRaceCapacity(size_t Capacity) { Lane.Sink.setCapacity(Capacity); }
+
+  /// Transfers the stored exemplars out without copying. Leaves \ref races
+  /// empty; read \ref racesTruncated and \ref raceSink before calling.
+  std::vector<RaceReport> takeRaces() { return Lane.Sink.takeExemplars(); }
+
+  /// Distinct memory locations on which at least one race was declared (the
+  /// paper's "racy locations" of Fig. 6(a)).
+  const std::unordered_set<VarId> &racyLocations() const {
+    return Lane.RacyLocations;
+  }
+
+  /// Configures this instance as shard \p Index of \p Count in a sharded
+  /// single-engine run (api::AnalysisSession calls it for
+  /// SessionConfig::Shards >= 2). The shard owns exactly the variables with
+  /// VarId % Count == Index (\ref ShardMap): it analyzes their accesses,
+  /// replicates every sync event (so its per-thread clock state is
+  /// byte-identical to an unsharded run's), sees foreign sampled accesses
+  /// only through the policy's ForeignHook, and skips every other foreign
+  /// access without touching it. Drive it with \ref processShardBatch (or
+  /// \ref processBatchGeneric). Must be called before the first event.
+  void setShard(uint32_t Index, uint32_t Count) {
+    Lane.setShard(Index, Count);
+  }
+
+  /// Shard count this instance was configured with; 0 when unsharded.
+  uint32_t shardCount() const { return Lane.Map.count(); }
+
+protected:
+  /// \p Lane is the derived engine's state; only its address is taken
+  /// here, so it may still be under construction.
+  Detector(std::string Name, LaneState *Lane)
+      : Name(std::move(Name)), Lane(*Lane) {}
+
+private:
+  const std::string Name;
+  LaneState &Lane;
 };
 
 } // namespace sampletrack

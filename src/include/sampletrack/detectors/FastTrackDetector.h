@@ -30,9 +30,7 @@ namespace sampletrack {
 class FastTrackDetector final : public PolicyDetector<FastTrackPolicy> {
 public:
   explicit FastTrackDetector(size_t NumThreads)
-      : PolicyDetector(NumThreads, HistoryKind::Epochs) {}
-
-  std::string name() const override { return "FT"; }
+      : PolicyDetector("FT", NumThreads, HistoryKind::Epochs) {}
 
   const VectorClock &threadClock(ThreadId T) const { return thread(T).C; }
 };

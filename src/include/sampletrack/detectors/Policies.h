@@ -10,10 +10,13 @@
 /// evaluates, shared by the offline detectors (PolicyDetector) and the
 /// online runtime (rt::Runtime):
 ///
-///  - FastTrackPolicy: the FastTrack baseline "FT",
+///  - FastTrackPolicy: "FT" over epoch histories, "Djit+" (Algorithm 1)
+///    over vector-clock histories,
 ///  - SamplingNaivePolicy: "ST", Algorithm 2,
 ///  - SamplingUClockPolicy: "SU", Algorithm 3,
-///  - SamplingOrderedListPolicy: "SO", Algorithm 4.
+///  - SamplingOrderedListPolicy: "SO", Algorithm 4,
+///  - TreeClockPolicy: "TC", the Section 7 tree-clock ablation (offline
+///    only).
 ///
 /// A policy has three parts: per-thread state (\c Thread), per-sync-object
 /// state (\c Sync) and the handlers. Access handlers check and update one
@@ -38,20 +41,22 @@
 #include "sampletrack/detectors/Metrics.h"
 #include "sampletrack/support/OrderedList.h"
 #include "sampletrack/support/SnapshotPool.h"
+#include "sampletrack/support/TreeClock.h"
 #include "sampletrack/support/VectorClock.h"
 
 #include <vector>
 
 namespace sampletrack {
 
-/// How the sampling engines represent access histories (Cw_x / Cr_x).
+/// How an engine represents access histories (Cw_x / Cr_x).
 ///
-/// The paper presents Djit+-style vector-clock histories (Algorithm 2) and
-/// notes that FastTrack's epoch optimization "is independent of our
+/// The paper presents Djit+-style vector-clock histories (Algorithms 1 and
+/// 2) and notes that FastTrack's epoch optimization "is independent of our
 /// innovations" (Section 2.1): under sampling, Proposition 3 makes the
 /// scalar epoch comparison exact for marked events, so histories can be
 /// epochs with adaptive read promotion exactly as in FastTrack, cutting the
-/// per-access cost from O(T) to amortized O(1).
+/// per-access cost from O(T) to amortized O(1). Djit+ and FT are the same
+/// policy over the two kinds.
 enum class HistoryKind {
   VectorClocks, ///< Algorithm 2 as printed: full Cw/Cr vector clocks.
   Epochs,       ///< FastTrack-style write epoch + adaptive read history.
@@ -92,21 +97,21 @@ struct VectorHistory {
   }
 };
 
-/// What every policy has: the clock width, and FastTrack's epoch checks.
+/// What every policy has: the clock width, and the access handlers of both
+/// history kinds. \p ThreadT supplies the accessing thread's (effective)
+/// clock: epoch(T), at(T, Of), covers(T, H) and snapshot(T, Out).
 class PolicyBase {
 public:
   explicit PolicyBase(size_t NumThreads) : NumThreads(NumThreads) {}
 
-  /// Routes snapshot buffers through (or around) a SnapshotPool. Only SO
-  /// has any (its copy-on-write lists).
+  /// Routes snapshot buffers through (or around) a SnapshotPool. Only the
+  /// copy-on-write policies (SO, TC) have any.
   void setPoolingEnabled(bool) {}
 
-protected:
-  /// FastTrack's read check over an epoch history. \p TS supplies the
-  /// reading thread's (effective) clock: epoch(T), at(T, Of), covers(T, H).
+  /// FastTrack's read check over an epoch history.
   template <typename ThreadT, typename RaceFn>
-  void epochRead(const ThreadT &TS, ThreadId T, EpochHistory &H, Metrics &M,
-                 RaceFn &&Race) {
+  void read(const ThreadT &TS, ThreadId T, EpochHistory &H, Metrics &M,
+            RaceFn &&Race) {
     ClockValue Now = TS.epoch(T);
     // Same-epoch fast path: this exact read is already recorded.
     if (!H.ReadShared && H.RTid == T && H.RClk == Now)
@@ -141,8 +146,8 @@ protected:
 
   /// FastTrack's write check over an epoch history.
   template <typename ThreadT, typename RaceFn>
-  void epochWrite(const ThreadT &TS, ThreadId T, EpochHistory &H,
-                  Metrics &M, RaceFn &&Race) {
+  void write(const ThreadT &TS, ThreadId T, EpochHistory &H, Metrics &M,
+             RaceFn &&Race) {
     ClockValue Now = TS.epoch(T);
     if (H.WTid == T && H.WClk == Now)
       return;
@@ -165,6 +170,58 @@ protected:
     H.WClk = Now;
   }
 
+  /// Algorithm 2's read check over vector-clock histories (Djit+'s, with
+  /// the thread's full clock as the effective clock).
+  template <typename ThreadT, typename RaceFn>
+  void read(const ThreadT &TS, ThreadId T, VectorHistory &H, Metrics &M,
+            RaceFn &&Race) {
+    ++M.RaceChecks;
+    if (H.W.size() && !TS.covers(T, H.W))
+      Race();
+    if (!H.R.size())
+      H.R = VectorClock(NumThreads);
+    H.R.set(T, TS.epoch(T));
+  }
+
+  /// Algorithm 2's write check over vector-clock histories.
+  template <typename ThreadT, typename RaceFn>
+  void write(const ThreadT &TS, ThreadId T, VectorHistory &H, Metrics &M,
+             RaceFn &&Race) {
+    ++M.RaceChecks;
+    if ((H.R.size() && !TS.covers(T, H.R)) ||
+        (H.W.size() && !TS.covers(T, H.W)))
+      Race();
+    if (!H.W.size())
+      H.W = VectorClock(NumThreads);
+    TS.snapshot(T, H.W);
+    ++M.FullClockOps;
+  }
+
+protected:
+  /// Re-owns the snapshot \p R before its owner mutates it (lazy
+  /// copy-on-write): in place when every published reference has been
+  /// dropped (only the owner mints new ones), else a pooled deep copy.
+  template <typename T>
+  static void ensureOwned(SnapshotPool<T> &Pool,
+                          typename SnapshotPool<T>::Ref &R, bool &Shared,
+                          Metrics &M) {
+    if (!Shared)
+      return;
+    if (R.unique()) {
+      Shared = false;
+      return;
+    }
+    ++M.CowBreaks;
+    bool Reused = false;
+    typename SnapshotPool<T>::Ref Copy = Pool.acquire(&Reused);
+    M.PoolHits += Reused ? 1 : 0;
+    *Copy = *R; // Flat copy; readers keep the immutable snapshot.
+    R = std::move(Copy);
+    Shared = false;
+    ++M.DeepCopies;
+    ++M.FullClockOps;
+  }
+
   const size_t NumThreads;
 };
 
@@ -172,13 +229,17 @@ protected:
 // FT: FastTrack
 //===----------------------------------------------------------------------===//
 
-/// FastTrack (Flanagan & Freund, PLDI 2009): Djit+ with epoch access
-/// histories. Full analysis: every access is checked, every sync event
-/// pays one whole-clock join or copy.
+/// Full happens-before analysis: every access is checked, every sync
+/// event pays one whole-clock join or copy. Over epoch histories this is
+/// FastTrack (Flanagan & Freund, PLDI 2009), "FT"; over vector-clock
+/// histories it is Djit+ (Algorithm 1), the baseline the sampling
+/// timestamps are defined against (Section 2.1).
 class FastTrackPolicy : public PolicyBase {
 public:
-  static constexpr bool Sampling = false;
+  static constexpr bool SkipUnsampled = false;
+  static constexpr bool ForeignHook = false;
   static constexpr bool SplitAcquire = false;
+  /// The history the online runtime keeps.
   using History = EpochHistory;
 
   struct Thread {
@@ -188,6 +249,7 @@ public:
     ClockValue epoch(ThreadId Self) const { return C.get(Self); }
     ClockValue at(ThreadId, ThreadId Of) const { return C.get(Of); }
     bool covers(ThreadId, const VectorClock &H) const { return H.leq(C); }
+    void snapshot(ThreadId, VectorClock &Out) const { Out.copyFrom(C); }
   };
 
   struct Sync {
@@ -197,19 +259,9 @@ public:
   using PolicyBase::PolicyBase;
 
   void initThread(Thread &TS, ThreadId T) const {
+    // C_t starts at bottom[t -> 1] (Line 3 of Algorithm 1).
     TS.C = VectorClock(NumThreads);
     TS.C.set(T, 1);
-  }
-
-  template <typename RaceFn>
-  void read(Thread &TS, ThreadId T, EpochHistory &H, Metrics &M,
-            RaceFn &&Race) {
-    epochRead(TS, T, H, M, Race);
-  }
-  template <typename RaceFn>
-  void write(Thread &TS, ThreadId T, EpochHistory &H, Metrics &M,
-             RaceFn &&Race) {
-    epochWrite(TS, T, H, M, Race);
   }
 
   void acquire(Thread &TS, ThreadId, Sync &S, Metrics &M) const {
@@ -273,56 +325,32 @@ struct SamplingThread {
   ClockValue epoch(ThreadId) const { return Epoch; }
 };
 
-/// The read/write handlers of Algorithm 2, identical across ST/SU/SO (the
-/// paper presents them once), over either history representation. Only
-/// sampled accesses reach them, so their total work is O(|S| T) with
-/// vector-clock histories and amortized O(|S|) with epochs. \p ThreadT
-/// supplies the effective clock C_t[t -> e_t]: at(T, Of), covers(T, H) and
-/// snapshot(T, Out).
+/// The access handlers of Algorithm 2, identical across ST/SU/SO (the
+/// paper presents them once): PolicyBase's checks over the effective clock
+/// C_t[t -> e_t], plus the dirty bit. Only sampled accesses reach them, so
+/// their total work is O(|S| T) with vector-clock histories and amortized
+/// O(|S|) with epochs. A sampled access analyzed by another shard still
+/// sets the dirty bit (ForeignHook).
 class SamplingPolicyBase : public PolicyBase {
 public:
-  static constexpr bool Sampling = true;
+  static constexpr bool SkipUnsampled = true;
+  static constexpr bool ForeignHook = true;
+  /// The history the online runtime keeps.
   using History = VectorHistory;
   using PolicyBase::PolicyBase;
 
-  template <typename ThreadT, typename RaceFn>
-  void read(ThreadT &TS, ThreadId T, VectorHistory &H, Metrics &M,
+  template <typename ThreadT, typename HistoryT, typename RaceFn>
+  void read(ThreadT &TS, ThreadId T, HistoryT &H, Metrics &M,
             RaceFn &&Race) {
     TS.Dirty = true;
-    ++M.RaceChecks;
-    if (H.W.size() && !TS.covers(T, H.W))
-      Race();
-    if (!H.R.size())
-      H.R = VectorClock(NumThreads);
-    H.R.set(T, TS.Epoch);
+    PolicyBase::read(TS, T, H, M, Race);
   }
 
-  template <typename ThreadT, typename RaceFn>
-  void write(ThreadT &TS, ThreadId T, VectorHistory &H, Metrics &M,
+  template <typename ThreadT, typename HistoryT, typename RaceFn>
+  void write(ThreadT &TS, ThreadId T, HistoryT &H, Metrics &M,
              RaceFn &&Race) {
     TS.Dirty = true;
-    ++M.RaceChecks;
-    if ((H.R.size() && !TS.covers(T, H.R)) ||
-        (H.W.size() && !TS.covers(T, H.W)))
-      Race();
-    if (!H.W.size())
-      H.W = VectorClock(NumThreads);
-    TS.snapshot(T, H.W);
-    ++M.FullClockOps;
-  }
-
-  template <typename ThreadT, typename RaceFn>
-  void read(ThreadT &TS, ThreadId T, EpochHistory &H, Metrics &M,
-            RaceFn &&Race) {
-    TS.Dirty = true;
-    epochRead(TS, T, H, M, Race);
-  }
-
-  template <typename ThreadT, typename RaceFn>
-  void write(ThreadT &TS, ThreadId T, EpochHistory &H, Metrics &M,
-             RaceFn &&Race) {
-    TS.Dirty = true;
-    epochWrite(TS, T, H, M, Race);
+    PolicyBase::write(TS, T, H, M, Race);
   }
 };
 
@@ -809,26 +837,8 @@ public:
   }
 
 private:
-  /// Re-owns the thread's list before mutation (lazy copy-on-write): in
-  /// place when no published reference remains, else a pooled deep copy.
   void ensureOwned(Thread &TS, Metrics &M) {
-    if (!TS.Shared)
-      return;
-    if (TS.O.unique()) {
-      // Every published reference was dropped (overwritten by newer
-      // releases); only the owner mints new ones, so mutate in place.
-      TS.Shared = false;
-      return;
-    }
-    ++M.CowBreaks;
-    bool Reused = false;
-    ListPool::Ref Copy = Lists.acquire(&Reused);
-    M.PoolHits += Reused ? 1 : 0;
-    *Copy = *TS.O; // Flat copy; readers keep the immutable snapshot.
-    TS.O = std::move(Copy);
-    TS.Shared = false;
-    ++M.DeepCopies;
-    ++M.FullClockOps;
+    PolicyBase::ensureOwned(Lists, TS.O, TS.Shared, M);
   }
 
   /// Applies one foreign entry; returns 1 if it strictly increased. A
@@ -861,6 +871,126 @@ private:
 
   const bool LocalEpochOpt;
   ListPool Lists;
+};
+
+//===----------------------------------------------------------------------===//
+// TC: the tree-clock ablation (Section 7)
+//===----------------------------------------------------------------------===//
+
+using TreeClockPool = SnapshotPool<TreeClock>;
+
+/// Tree clocks are an optimal structure for the full happens-before
+/// relation, but they cannot soundly prune joins under the sampling
+/// timestamp: one component value may stand for growing knowledge, which
+/// defeats value-based subtree pruning. So this ablation computes full-HB
+/// timestamps in tree clocks, advancing the local component at every
+/// release as FastTrack does, and checks only sampled accesses.
+/// bench_ablation_treeclock compares its acquire-side traversal work
+/// against SO's ordered-list prefix walks.
+///
+/// Sync objects hold copy-on-write snapshots of the releasing thread's
+/// tree. Full-HB timestamps change at every release, so the releaser's
+/// next mutation almost always pays a deep copy: the redundancy the
+/// sampling timestamp removes. Release-joins fall back conservatively to
+/// release-stores (replacement); the ablation runs on mutex and fork/join
+/// traces only.
+class TreeClockPolicy : public PolicyBase {
+public:
+  static constexpr bool SkipUnsampled = true;
+  static constexpr bool ForeignHook = false;
+
+  struct Thread {
+    TreeClockPool::Ref TC;
+    /// Sync objects may reference TC, so it must be re-owned before
+    /// mutation.
+    bool Shared = false;
+
+    ClockValue epoch(ThreadId Self) const { return TC->get(Self); }
+    ClockValue at(ThreadId, ThreadId Of) const { return TC->get(Of); }
+    bool covers(ThreadId, const VectorClock &H) const {
+      for (ThreadId I = 0; I < H.size(); ++I)
+        if (H.get(I) > TC->get(I))
+          return false;
+      return true;
+    }
+    void snapshot(ThreadId, VectorClock &Out) const { TC->toVectorClock(Out); }
+  };
+
+  struct Sync {
+    /// Published snapshot; immutable while shared.
+    TreeClockPool::ConstRef Ref;
+  };
+
+  using PolicyBase::PolicyBase;
+
+  void setPoolingEnabled(bool Enabled) { Clocks.setEnabled(Enabled); }
+
+  void initThread(Thread &TS, ThreadId T) {
+    TS.TC = Clocks.acquire();
+    TS.TC->reset(NumThreads, T);
+    // Full-HB local time starts at 1, as in Djit+ and FastTrack.
+    TS.TC->setRootTime(1);
+  }
+
+  void acquire(Thread &TS, ThreadId, const Sync &S, Metrics &M) {
+    ++M.AcquiresTotal;
+    if (!S.Ref) {
+      ++M.AcquiresSkipped;
+      return;
+    }
+    joinInto(TS, *S.Ref, M);
+  }
+  /// Publishes a snapshot, then advances local time.
+  void release(Thread &TS, ThreadId, Sync &S, Metrics &M) {
+    ++M.ReleasesTotal;
+    ++M.ReleasesProcessed;
+    S.Ref = TS.TC;
+    TS.Shared = true;
+    ++M.ShallowCopies;
+    advance(TS, M);
+  }
+  void releaseStore(Thread &TS, ThreadId T, Sync &S, Metrics &M) {
+    release(TS, T, S, M);
+  }
+  void releaseJoin(Thread &TS, ThreadId T, Sync &S, Metrics &M) {
+    release(TS, T, S, M);
+  }
+  /// The child's import counts as acquire-side work, as in the other
+  /// engines.
+  void fork(Thread &P, ThreadId, Thread &C, ThreadId, Metrics &M) {
+    ++M.ReleasesTotal;
+    ++M.ReleasesProcessed;
+    ++M.AcquiresTotal;
+    joinInto(C, *P.TC, M);
+    advance(P, M);
+  }
+  void join(Thread &P, ThreadId, Thread &C, ThreadId, Metrics &M) {
+    ++M.AcquiresTotal;
+    joinInto(P, *C.TC, M);
+    advance(C, M);
+  }
+
+private:
+  void advance(Thread &TS, Metrics &M) {
+    ensureOwned(Clocks, TS.TC, TS.Shared, M);
+    TS.TC->incrementRoot();
+  }
+
+  /// Joins \p Src into \p TS's clock. Fast path: under full-HB timestamps
+  /// equal root values imply equal knowledge, since the local component
+  /// advances at every release.
+  void joinInto(Thread &TS, const TreeClock &Src, Metrics &M) {
+    if (Src.get(Src.root()) <= TS.TC->get(Src.root())) {
+      ++M.AcquiresSkipped;
+      return;
+    }
+    ensureOwned(Clocks, TS.TC, TS.Shared, M);
+    M.EntriesTraversed += TS.TC->joinFrom(Src);
+    M.TraversalOpportunities += NumThreads;
+    ++M.AcquiresProcessed;
+  }
+
+  TreeClockPool Clocks;
 };
 
 } // namespace sampletrack

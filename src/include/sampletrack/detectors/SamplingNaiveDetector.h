@@ -34,9 +34,7 @@ public:
   explicit SamplingNaiveDetector(size_t NumThreads,
                                  HistoryKind Histories =
                                      HistoryKind::VectorClocks)
-      : PolicyDetector(NumThreads, Histories) {}
-
-  std::string name() const override { return "ST"; }
+      : PolicyDetector("ST", NumThreads, Histories) {}
 
   /// Current sampling clock C_t of thread \p T (tests inspect this).
   const VectorClock &threadClock(ThreadId T) const { return thread(T).C; }

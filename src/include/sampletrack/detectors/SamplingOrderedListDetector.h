@@ -41,9 +41,7 @@ public:
                                        bool LocalEpochOpt = true,
                                        HistoryKind Histories =
                                            HistoryKind::VectorClocks)
-      : PolicyDetector(NumThreads, Histories, LocalEpochOpt) {}
-
-  std::string name() const override { return "SO"; }
+      : PolicyDetector("SO", NumThreads, Histories, LocalEpochOpt) {}
 
   /// The thread's ordered list (tests inspect structure and sharing).
   const OrderedList &orderedList(ThreadId T) const { return *thread(T).O; }

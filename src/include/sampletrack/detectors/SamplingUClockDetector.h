@@ -37,9 +37,7 @@ public:
   explicit SamplingUClockDetector(size_t NumThreads,
                                   HistoryKind Histories =
                                       HistoryKind::VectorClocks)
-      : PolicyDetector(NumThreads, Histories) {}
-
-  std::string name() const override { return "SU"; }
+      : PolicyDetector("SU", NumThreads, Histories) {}
 
   const VectorClock &threadClock(ThreadId T) const { return thread(T).C; }
   const VectorClock &freshnessClock(ThreadId T) const { return thread(T).U; }

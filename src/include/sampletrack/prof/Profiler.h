@@ -205,7 +205,9 @@ public:
 
   /// Merges every tree into one deterministic report: nodes keyed by name
   /// path, children sorted by name, counts and nanos summed across trees,
-  /// exclusive = inclusive - sum(children) (saturating at 0).
+  /// exclusive = inclusive - sum(children) (saturating at 0). A node that
+  /// recorded nothing itself (count 0, no nanos) groups its children: its
+  /// inclusive time is theirs, summed. The unnamed root is one.
   Report report() const;
 
   std::vector<const Tree *> trees() const;

@@ -179,14 +179,18 @@ ReportNode toReportNode(std::string Name, const ReportMergeNode &M) {
   ReportNode N;
   N.Name = std::move(Name);
   N.Count = M.Count;
-  N.InclusiveNanos = M.Nanos;
   N.Counters.assign(M.Counters.begin(), M.Counters.end());
   uint64_t ChildNanos = 0;
   for (const auto &[CName, Child] : M.Children) {
     N.Children.push_back(toReportNode(CName, Child));
-    ChildNanos += Child.Nanos;
+    ChildNanos += N.Children.back().InclusiveNanos;
   }
-  N.ExclusiveNanos = M.Nanos > ChildNanos ? M.Nanos - ChildNanos : 0;
+  // A grouping node (session/analyze: a path its children were interned
+  // under, never itself recorded) spans exactly its children.
+  const bool Grouping = M.Count == 0 && M.Nanos == 0;
+  N.InclusiveNanos = Grouping ? ChildNanos : M.Nanos;
+  N.ExclusiveNanos =
+      N.InclusiveNanos > ChildNanos ? N.InclusiveNanos - ChildNanos : 0;
   return N;
 }
 

@@ -20,6 +20,7 @@
 #include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/detectors/DetectorFactory.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
+#include "sampletrack/trace/SuiteGen.h"
 #include "sampletrack/trace/TraceGen.h"
 
 #include <limits>
@@ -254,6 +255,93 @@ TEST(TreeClockEngine, MatchesSamplingVerdictsOnMutexTraces) {
     std::vector<size_t> SO = declaredEvents(T, EngineKind::SamplingO);
     std::vector<size_t> TC = declaredEvents(T, EngineKind::TreeClockFull);
     EXPECT_EQ(SO, TC) << "seed " << Seed;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned counters of the two full-HB engines. The differential harnesses
+// compare two paths of one build, so a counter drift in both passes them,
+// and the fig8 gate covers SU/SO only. These values were recorded from the
+// stand-alone Djit+ and tree-clock detectors that the policies replaced.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct PinnedRun {
+  EngineKind Engine;
+  /// A suite benchmark (mutex only), or "barrier" for release-join /
+  /// acquire-load rounds.
+  const char *TraceName;
+  double Rate;
+  uint64_t Counters[std::size(MetricsFields)];
+  std::vector<size_t> Declared;
+};
+
+Trace pinnedTrace(const std::string &Name, double Rate) {
+  Trace T = Name == "barrier" ? generateBarrierRounds(4, 8, 6, 1)
+                              : generateSuiteTrace(Name, 0.05, 1);
+  markTrace(T, Rate, 11);
+  return T;
+}
+
+const PinnedRun PinnedRuns[] = {
+    {EngineKind::Djit, "bufwriter", 0.03,
+     {6001, 4609, 131, 696, 0, 696, 696, 0, 696, 0, 0, 0, 0, 0, 0, 4671, 4609,
+      3548},
+     {76, 84, 86, 87, 92, 133, 134, 135, 137, 149, 157, 167, 179, 238, 243,
+      645}},
+    {EngineKind::Djit, "bufwriter", 1.0,
+     {6001, 4609, 4609, 696, 0, 696, 696, 0, 696, 0, 0, 0, 0, 0, 0, 4671,
+      4609, 3548},
+     {76, 84, 86, 87, 92, 133, 134, 135, 137, 149, 157, 167, 179, 238, 243,
+      645}},
+    {EngineKind::Djit, "jigsaw", 0.03,
+     {5005, 1175, 29, 1915, 0, 1915, 1915, 0, 1915, 0, 0, 0, 0, 0, 0, 4181,
+      1175, 11},
+     {118, 1136, 2129, 2955, 3358, 4914, 4963}},
+    {EngineKind::Djit, "jigsaw", 1.0,
+     {5005, 1175, 1175, 1915, 0, 1915, 1915, 0, 1915, 0, 0, 0, 0, 0, 0, 4181,
+      1175, 11},
+     {118, 1136, 2129, 2955, 3358, 4914, 4963}},
+    {EngineKind::TreeClockFull, "bufwriter", 0.03,
+     {6001, 4609, 131, 696, 592, 104, 696, 0, 696, 696, 696, 695, 696, 466,
+      624, 792, 131, 88},
+     {211, 253, 318, 736, 963, 979, 1001, 1230, 1236, 1237, 2861, 2988, 4856}},
+    {EngineKind::TreeClockFull, "bufwriter", 1.0,
+     {6001, 4609, 4609, 696, 592, 104, 696, 0, 696, 696, 696, 695, 696, 466,
+      624, 3975, 4609, 3548},
+     {76, 84, 86, 87, 92, 133, 134, 135, 137, 149, 157, 167, 179, 238, 243,
+      645}},
+    {EngineKind::TreeClockFull, "jigsaw", 0.03,
+     {5005, 1175, 29, 1915, 1224, 691, 1915, 0, 1915, 1915, 1915, 1883, 1915,
+      3808, 6910, 1924, 29, 0},
+     {}},
+    {EngineKind::TreeClockFull, "jigsaw", 1.0,
+     {5005, 1175, 1175, 1915, 1224, 691, 1915, 0, 1915, 1915, 1915, 1883,
+      1915, 3808, 6910, 2266, 1175, 11},
+     {118, 1136, 2129, 2955, 3358, 4914, 4963}},
+    {EngineKind::Djit, "barrier", 0.3,
+     {430, 360, 93, 35, 0, 35, 35, 0, 35, 0, 0, 0, 0, 0, 0, 262, 360, 0},
+     {}},
+};
+
+} // namespace
+
+TEST(PinnedCounters, DjitAndTreeClockDoTheRecordedWork) {
+  for (const PinnedRun &P : PinnedRuns) {
+    SCOPED_TRACE(std::string(engineKindName(P.Engine)) + " on " +
+                 P.TraceName + " at " + std::to_string(P.Rate));
+    Trace T = pinnedTrace(P.TraceName, P.Rate);
+    std::unique_ptr<Detector> D = createDetector(P.Engine, T.numThreads());
+    MarkedSampler S;
+    api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
+    for (size_t I = 0; I < std::size(MetricsFields); ++I)
+      EXPECT_EQ(D->metrics().*MetricsFields[I].Member, P.Counters[I])
+          << MetricsFields[I].Name;
+    std::vector<size_t> Declared;
+    for (const RaceReport &R : D->races())
+      Declared.push_back(R.EventIndex);
+    EXPECT_EQ(Declared, P.Declared);
   }
 }
 

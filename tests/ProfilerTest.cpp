@@ -4,7 +4,8 @@
 // SPDX-License-Identifier: Apache-2.0
 //
 // The prof subsystem's contracts: RAII scope nesting builds the tree the
-// names describe and the exclusive-time arithmetic holds; the merged report
+// names describe and the exclusive-time arithmetic holds (a sequential
+// session's exclusive times sum to its wall time); the merged report
 // is keyed by span path, not by which tree recorded it; a profiled
 // AnalysisSession's report is byte-identical (modulo timing) across every
 // worker and shard count; disabled profiling yields the empty profile; and
@@ -22,6 +23,9 @@
 #include "sampletrack/support/Json.h"
 #include "sampletrack/trace/SuiteGen.h"
 #include "sampletrack/trace/TraceGen.h"
+#include "sampletrack/trace/TraceIO.h"
+
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +58,14 @@ void expectExclusiveInvariant(const prof::ReportNode &N) {
     EXPECT_EQ(N.ExclusiveNanos, N.InclusiveNanos - ChildSum) << N.Name;
   for (const prof::ReportNode &C : N.Children)
     expectExclusiveInvariant(C);
+}
+
+/// Sum of every node's exclusive time, \p N included.
+uint64_t exclusiveSum(const prof::ReportNode &N) {
+  uint64_t Sum = N.ExclusiveNanos;
+  for (const prof::ReportNode &C : N.Children)
+    Sum += exclusiveSum(C);
+  return Sum;
 }
 
 api::SessionConfig profiledConfig() {
@@ -211,6 +223,41 @@ TEST(Profiler, SessionProfileIsIdenticalAcrossWorkerAndShardCounts) {
       EXPECT_TRUE(Stripped == Baseline);
       EXPECT_EQ(prof::toText(Stripped), BaselineText);
     }
+}
+
+TEST(Profiler, SequentialSessionProfileAddsUpToItsWallTime) {
+  // "Where did the time go" must add up: in a sequential session no two
+  // spans overlap, so every nanosecond of the root lands in exactly one
+  // node's exclusive time. Grouping nodes (session/analyze, which nothing
+  // records itself) carry their children's time. A streamed run adds the
+  // session/decode spans.
+  Trace T = generateSuiteTrace("bufwriter", 0.25, 3);
+  std::stringstream Bytes;
+  writeTraceBinary(Bytes, T);
+  for (bool Streamed : {false, true}) {
+    SCOPED_TRACE(Streamed ? "streamed" : "in memory");
+    api::SessionResult R;
+    if (Streamed) {
+      ASSERT_TRUE(api::AnalysisSession(profiledConfig()).run(Bytes, R));
+    } else {
+      R = api::AnalysisSession(profiledConfig()).run(T);
+    }
+    const prof::ReportNode &Root = R.Profile.Root;
+    const prof::ReportNode *Session = child(Root, "session");
+    ASSERT_NE(Session, nullptr);
+    const prof::ReportNode *Analyze = child(*Session, "analyze");
+    ASSERT_NE(Analyze, nullptr);
+    EXPECT_EQ(Analyze->Count, 0u);
+    EXPECT_GT(Analyze->InclusiveNanos, 0u);
+    EXPECT_EQ(Analyze->InclusiveNanos, childInclusiveSum(*Analyze));
+    EXPECT_EQ(Analyze->ExclusiveNanos, 0u);
+    const prof::ReportNode *Decode = child(*Session, "decode");
+    ASSERT_NE(Decode, nullptr);
+    EXPECT_EQ(Decode->Count > 0, Streamed);
+    EXPECT_EQ(Root.InclusiveNanos, Session->InclusiveNanos);
+    EXPECT_EQ(exclusiveSum(Root), Root.InclusiveNanos);
+    expectExclusiveInvariant(Root);
+  }
 }
 
 TEST(Profiler, DisabledProfilingYieldsEmptyProfileAndStripCoversProfile) {
