@@ -207,7 +207,12 @@ public:
   /// path, children sorted by name, counts and nanos summed across trees,
   /// exclusive = inclusive - sum(children) (saturating at 0). A node that
   /// recorded nothing itself (count 0, no nanos) groups its children: its
-  /// inclusive time is theirs, summed. The unnamed root is one.
+  /// inclusive time is theirs, summed. The unnamed root is one. Children
+  /// that ran concurrently (the lanes under session/analyze with
+  /// NumWorkers >= 1) sum their overlapping time, so a grouping node's
+  /// inclusive time can exceed its parent's; the parent's exclusive time
+  /// then saturates at 0, and exclusive times no longer add up to the
+  /// root's inclusive time. They do add up when no two spans overlap.
   Report report() const;
 
   std::vector<const Tree *> trees() const;

@@ -88,12 +88,6 @@ public:
   /// clock (in which case the join is a no-op).
   unsigned joinFrom(const TreeClock &Other);
 
-  /// Flat O(T) copy (deep copy in the copy-on-write scheme).
-  void deepCopyFrom(const TreeClock &Other) {
-    Nodes = Other.Nodes;
-    Root = Other.Root;
-  }
-
   /// Materializes into a plain vector clock (tests and race checks).
   void toVectorClock(VectorClock &Out) const {
     assert(Out.size() == Nodes.size() && "clock size mismatch");

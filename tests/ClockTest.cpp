@@ -275,7 +275,7 @@ TEST(TreeClock, RandomJoinsMatchVectorClocks) {
         continue;
       // Snapshot-and-bump models release; join models the next acquire.
       TreeClock Snap;
-      Snap.deepCopyFrom(TCs[Src]);
+      Snap = TCs[Src];
       VectorClock VSnap = VCs[Src];
       TCs[Src].incrementRoot();
       VCs[Src].bump(Src);

@@ -260,6 +260,34 @@ TEST(Profiler, SequentialSessionProfileAddsUpToItsWallTime) {
   }
 }
 
+TEST(Profiler, GroupingNodeSumsOverlappingLanes) {
+  // A parallel session records its lanes on worker trees, concurrently
+  // with the session span. The grouping node sums the lanes' overlapping
+  // time, so it can outgrow its parent; the parent's exclusive time
+  // saturates at 0 and exclusive times no longer add up to the root.
+  prof::Profiler P;
+  prof::Tree *Ingest = P.makeTree("ingest");
+  prof::Tree *W1 = P.makeTree("worker-1");
+  prof::Tree *W2 = P.makeTree("worker-2");
+  Ingest->addSample(Ingest->internPath({"session"}), 100);
+  W1->addSample(W1->internPath({"session", "analyze", "FT"}), 80);
+  W2->addSample(W2->internPath({"session", "analyze", "SO"}), 70);
+
+  prof::Report R = P.report();
+  const prof::ReportNode *Session = child(R.Root, "session");
+  ASSERT_NE(Session, nullptr);
+  const prof::ReportNode *Analyze = child(*Session, "analyze");
+  ASSERT_NE(Analyze, nullptr);
+  EXPECT_EQ(Analyze->Count, 0u);
+  EXPECT_EQ(Analyze->InclusiveNanos, 150u);
+  EXPECT_EQ(Analyze->ExclusiveNanos, 0u);
+  EXPECT_EQ(Session->InclusiveNanos, 100u);
+  EXPECT_EQ(Session->ExclusiveNanos, 0u);
+  EXPECT_EQ(R.Root.InclusiveNanos, 100u);
+  EXPECT_EQ(exclusiveSum(R.Root), 150u);
+  expectExclusiveInvariant(R.Root);
+}
+
 TEST(Profiler, DisabledProfilingYieldsEmptyProfileAndStripCoversProfile) {
   Trace T = generateSuiteTrace("bufwriter", 0.1, 3);
 

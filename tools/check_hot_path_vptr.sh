@@ -23,14 +23,31 @@ set -eu
 LIB=${1:?usage: check_hot_path_vptr.sh LIBRARY}
 
 objdump -dr -C "$LIB" | awk '
+  # The signature without what its parentheses hold: parameter types drop
+  # out, so a type matches only where it qualifies the function name (after
+  # the return type, if any).
+  function unparenthesized(s,    out, depth, i, c) {
+    out = ""
+    depth = 0
+    for (i = 1; i <= length(s); ++i) {
+      c = substr(s, i, 1)
+      if (c == "(")
+        ++depth
+      if (depth == 0)
+        out = out c
+      if (c == ")" && depth > 0)
+        --depth
+    }
+    return out
+  }
   /^[0-9a-f]+ <.*>:$/ {
     fn = substr($0, index($0, "<") + 1)
     sub(/>:$/, "", fn)
-    sub(/^[a-z_ ]+ sampletrack::/, "sampletrack::", fn) # A return type.
-    engine = fn ~ /^sampletrack::(PolicyEngine<|LaneState::)/ ||
-             fn ~ /^sampletrack::[A-Za-z]*Policy(Base)?::/
-    callee = fn ~ /^sampletrack::(triage::RaceSink::|SnapshotPool<)/ ||
-             fn ~ /^sampletrack::(VectorClock|OrderedList|TreeClock)::/
+    name = unparenthesized(fn)
+    engine = name ~ /(^|[ &*])sampletrack::(PolicyEngine<|LaneState::)/ ||
+             name ~ /(^|[ &*])sampletrack::[A-Za-z]*Policy(Base)?::/
+    callee = name ~ /(^|[ &*])sampletrack::(triage::RaceSink::|SnapshotPool<)/ ||
+             name ~ /(^|[ &*])sampletrack::(VectorClock|OrderedList|TreeClock)::/
     hot = (engine || callee) && fn !~ /rt::Runtime|::str(\[|\()/
     if (hot)
       ++functions
