@@ -300,6 +300,32 @@ TEST(AnalysisSession, ReportersCarryEveryLane) {
   EXPECT_EQ(R.find("nope"), nullptr);
 }
 
+TEST(AnalysisSession, AblationLanesKeepTheirOwnNames) {
+  // SO and its local-epoch ablation run the same policy; each lane still
+  // reports, and profiles under, its own name.
+  api::SessionConfig Cfg;
+  Cfg.Engines = {EngineKind::SamplingO, EngineKind::SamplingONoEpochOpt};
+  Cfg.SamplingRate = 0.05;
+  Cfg.ProfilingEnabled = true;
+  api::SessionResult R = api::AnalysisSession(Cfg).run(goldenTrace());
+
+  ASSERT_NE(R.find("SO"), nullptr);
+  ASSERT_NE(R.find("SO-noepoch"), nullptr);
+  EXPECT_EQ(R.find("SO")->Stats.RacesDeclared,
+            R.find("SO-noepoch")->Stats.RacesDeclared);
+
+  const prof::ReportNode *Analyze = nullptr;
+  for (const prof::ReportNode &Session : R.Profile.Root.Children)
+    if (Session.Name == "session")
+      for (const prof::ReportNode &N : Session.Children)
+        if (N.Name == "analyze")
+          Analyze = &N;
+  ASSERT_NE(Analyze, nullptr);
+  ASSERT_EQ(Analyze->Children.size(), 2u);
+  EXPECT_EQ(Analyze->Children[0].Name, "SO");
+  EXPECT_EQ(Analyze->Children[1].Name, "SO-noepoch");
+}
+
 TEST(DetectorFactory, ParseIsCaseInsensitiveAndRoundTrips) {
   for (EngineKind K : allEngineKinds()) {
     std::string Name = engineKindName(K);
@@ -332,9 +358,7 @@ TEST(DetectorFactory, CreateDetectorsPreservesPresentationOrder) {
   for (size_t I = 0; I < Ds.size(); ++I) {
     ASSERT_NE(Ds[I], nullptr);
     EXPECT_EQ(Ds[I]->numThreads(), 8u);
-    // The factory's printed names and the detectors' self-reported names
-    // agree up to the ablation variants that share an engine.
-    std::optional<EngineKind> Parsed = parseEngineKind(Ds[I]->name());
-    ASSERT_TRUE(Parsed.has_value()) << Ds[I]->name();
+    // Every lane reports the name its kind prints, ablation variants too.
+    EXPECT_EQ(Ds[I]->name(), engineKindName(Kinds[I]));
   }
 }
