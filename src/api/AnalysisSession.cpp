@@ -14,6 +14,8 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -40,12 +42,13 @@ uint64_t AnalysisSession::Unit::drive(std::span<const Event> Events,
                                       std::span<const uint8_t> Ds,
                                       std::span<const uint8_t> Owners) {
   uint64_t T0 = nowNanos();
+  // A sharded session routes every batch; its borrowed lanes never shard
+  // and take no routing.
   if (PerEvent)
     D->processBatchGeneric(Events, Ds);
-  else if (D->shardCount())
-    D->processShardBatch(Events, Ds, Owners);
   else
-    D->processBatch(Events, Ds);
+    D->processBatch(Events, Ds,
+                    D->shardCount() ? Owners : std::span<const uint8_t>());
   uint64_t Dt = nowNanos() - T0;
   Nanos += Dt;
   return Dt;
@@ -482,24 +485,6 @@ const EngineRun *SessionResult::find(const std::string &Engine) const {
   return nullptr;
 }
 
-AnalysisSession &AnalysisSession::configure(SessionConfig C) {
-  assert(!Active && "cannot reconfigure a running session");
-  Cfg = std::move(C);
-  return *this;
-}
-
-AnalysisSession &AnalysisSession::addEngine(EngineKind K) {
-  assert(!Active && "cannot add lanes to a running session");
-  Cfg.Engines.push_back(K);
-  return *this;
-}
-
-AnalysisSession &AnalysisSession::addEngines(std::span<const EngineKind> Ks) {
-  for (EngineKind K : Ks)
-    addEngine(K);
-  return *this;
-}
-
 AnalysisSession &AnalysisSession::addDetector(Detector &D) {
   assert(!Active && "cannot add lanes to a running session");
   BorrowedDetectors.push_back(&D);
@@ -521,15 +506,22 @@ AnalysisSession &AnalysisSession::withSampler(std::unique_ptr<Sampler> Sm) {
 }
 
 bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
-  auto Fail = [&](const char *Msg) {
+  auto Fail = [&](std::string Msg) {
     if (Error)
-      *Error = Msg;
+      *Error = std::move(Msg);
     return false;
   };
   if (Active)
     return Fail("session already active");
   if (Cfg.Engines.empty() && BorrowedDetectors.empty())
     return Fail("no engines or detectors configured");
+  // Detector tables are sized by the universe; a source thread id past it
+  // would index past them.
+  if (Cfg.NumThreads && Cfg.NumThreads < NumThreads)
+    return Fail("SessionConfig::NumThreads = " +
+                std::to_string(Cfg.NumThreads) +
+                " is below the source's thread count " +
+                std::to_string(NumThreads));
 
   RunThreads = Cfg.NumThreads ? Cfg.NumThreads
                               : (NumThreads ? NumThreads : Cfg.MaxThreads);
@@ -866,8 +858,15 @@ bool AnalysisSession::runFile(const std::string &Path, SessionResult &Out,
 
 ThreadId SessionHooks::registerThread() {
   std::lock_guard<std::mutex> G(M);
-  assert(NextThread < Session.numThreads() &&
-         "thread universe exhausted; begin() the session with more threads");
+  // An id past the universe would index past every lane's thread table,
+  // so this ends the process in every build type.
+  if (NextThread >= Session.numThreads()) {
+    std::fprintf(stderr,
+                 "sampletrack::api::SessionHooks: thread universe exhausted "
+                 "(%zu threads); begin() the session with more\n",
+                 Session.numThreads());
+    std::abort();
+  }
   return NextThread++;
 }
 

@@ -14,12 +14,8 @@ const char *sampletrack::api::samplerKindName(SamplerKind K) {
   switch (K) {
   case SamplerKind::Always:
     return "always";
-  case SamplerKind::Never:
-    return "never";
   case SamplerKind::Bernoulli:
     return "bernoulli";
-  case SamplerKind::Periodic:
-    return "periodic";
   case SamplerKind::Marked:
     return "marked";
   }
@@ -30,14 +26,10 @@ std::unique_ptr<Sampler> SessionConfig::makeSampler() const {
   switch (Sampling) {
   case SamplerKind::Always:
     return std::make_unique<AlwaysSampler>();
-  case SamplerKind::Never:
-    return std::make_unique<NeverSampler>();
   case SamplerKind::Bernoulli:
     if (SamplingRate >= 1.0)
       return std::make_unique<AlwaysSampler>();
     return std::make_unique<BernoulliSampler>(SamplingRate, Seed);
-  case SamplerKind::Periodic:
-    return std::make_unique<PeriodicSampler>(SamplePeriod);
   case SamplerKind::Marked:
     return std::make_unique<MarkedSampler>();
   }

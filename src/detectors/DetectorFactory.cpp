@@ -7,17 +7,68 @@
 
 #include "sampletrack/detectors/DetectorFactory.h"
 
-#include "sampletrack/detectors/FastTrackDetector.h"
-#include "sampletrack/detectors/SamplingNaiveDetector.h"
-#include "sampletrack/detectors/SamplingOrderedListDetector.h"
-#include "sampletrack/detectors/SamplingUClockDetector.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 
 using namespace sampletrack;
 
 namespace {
+
+using Constructor = std::unique_ptr<Detector> (*)(const char *Name,
+                                                  size_t NumThreads);
+
+/// A PolicyDetector over \p Policy and histories \p H, with the policy's
+/// constructor arguments \p Args.
+template <typename Policy, HistoryKind H, auto... Args>
+std::unique_ptr<Detector> construct(const char *Name, size_t NumThreads) {
+  return std::make_unique<PolicyDetector<Policy>>(Name, NumThreads, H,
+                                                  Args...);
+}
+
+/// One engine: the name it prints and reports, an optional long alias the
+/// parser also accepts, and how it is built.
+struct EngineRow {
+  EngineKind Kind;
+  const char *Name;
+  const char *Alias;
+  Constructor Make;
+};
+
+constexpr HistoryKind Vc = HistoryKind::VectorClocks;
+
+/// Every engine, in enum (= presentation) order.
+constexpr EngineRow Rows[] = {
+    // Djit+ is FastTrack's policy over vector-clock histories.
+    {EngineKind::Djit, "Djit+", "djit", construct<FastTrackPolicy, Vc>},
+    {EngineKind::FastTrack, "FT", "fasttrack",
+     construct<FastTrackPolicy, HistoryKind::Epochs>},
+    {EngineKind::SamplingNaive, "ST", nullptr,
+     construct<SamplingNaivePolicy, Vc>},
+    {EngineKind::SamplingU, "SU", nullptr,
+     construct<SamplingUClockPolicy, Vc>},
+    {EngineKind::SamplingO, "SO", nullptr,
+     construct<SamplingOrderedListPolicy, Vc, /*LocalEpochOpt=*/true>},
+    {EngineKind::SamplingONoEpochOpt, "SO-noepoch", nullptr,
+     construct<SamplingOrderedListPolicy, Vc, /*LocalEpochOpt=*/false>},
+    {EngineKind::TreeClockFull, "TC", "treeclock",
+     construct<TreeClockPolicy, Vc>},
+};
+
+constexpr bool rowsInEnumOrder() {
+  for (size_t I = 0; I < std::size(Rows); ++I)
+    if (static_cast<size_t>(Rows[I].Kind) != I)
+      return false;
+  return std::size(Rows) == static_cast<size_t>(EngineKind::TreeClockFull) + 1;
+}
+static_assert(rowsInEnumOrder(), "one row per EngineKind, in enum order");
+
+const EngineRow *row(EngineKind K) {
+  size_t I = static_cast<size_t>(K);
+  return I < std::size(Rows) ? &Rows[I] : nullptr;
+}
 
 std::string toLower(const std::string &S) {
   std::string Out = S;
@@ -30,77 +81,30 @@ std::string toLower(const std::string &S) {
 } // namespace
 
 const char *sampletrack::engineKindName(EngineKind K) {
-  switch (K) {
-  case EngineKind::Djit:
-    return "Djit+";
-  case EngineKind::FastTrack:
-    return "FT";
-  case EngineKind::SamplingNaive:
-    return "ST";
-  case EngineKind::SamplingU:
-    return "SU";
-  case EngineKind::SamplingO:
-    return "SO";
-  case EngineKind::SamplingONoEpochOpt:
-    return "SO-noepoch";
-  case EngineKind::TreeClockFull:
-    return "TC";
-  }
-  return "?";
+  const EngineRow *R = row(K);
+  return R ? R->Name : "?";
 }
 
 std::optional<EngineKind> sampletrack::parseEngineKind(const std::string &N) {
+  // No alias spells another row's name, so one pass round-trips every kind.
   std::string Needle = toLower(N);
-  for (EngineKind K : allEngineKinds())
-    if (Needle == toLower(engineKindName(K)))
-      return K;
-  // Long-form aliases (the canonical short names above always win, so the
-  // parse/print pair round-trips for every kind).
-  if (Needle == "djit")
-    return EngineKind::Djit;
-  if (Needle == "fasttrack")
-    return EngineKind::FastTrack;
-  if (Needle == "treeclock")
-    return EngineKind::TreeClockFull;
+  for (const EngineRow &R : Rows)
+    if (Needle == toLower(R.Name) || (R.Alias && Needle == R.Alias))
+      return R.Kind;
   return std::nullopt;
 }
 
 std::vector<EngineKind> sampletrack::allEngineKinds() {
-  return {EngineKind::Djit,
-          EngineKind::FastTrack,
-          EngineKind::SamplingNaive,
-          EngineKind::SamplingU,
-          EngineKind::SamplingO,
-          EngineKind::SamplingONoEpochOpt,
-          EngineKind::TreeClockFull};
+  std::vector<EngineKind> Out;
+  for (const EngineRow &R : Rows)
+    Out.push_back(R.Kind);
+  return Out;
 }
 
 std::unique_ptr<Detector> sampletrack::createDetector(EngineKind K,
                                                       size_t NumThreads) {
-  switch (K) {
-  case EngineKind::Djit:
-    // Djit+ is FastTrack's policy over vector-clock histories.
-    return std::make_unique<PolicyDetector<FastTrackPolicy>>(
-        "Djit+", NumThreads, HistoryKind::VectorClocks);
-  case EngineKind::FastTrack:
-    return std::make_unique<FastTrackDetector>(NumThreads);
-  case EngineKind::SamplingNaive:
-    return std::make_unique<SamplingNaiveDetector>(NumThreads);
-  case EngineKind::SamplingU:
-    return std::make_unique<SamplingUClockDetector>(NumThreads);
-  case EngineKind::SamplingO:
-    return std::make_unique<SamplingOrderedListDetector>(NumThreads,
-                                                         /*LocalEpochOpt=*/
-                                                         true);
-  case EngineKind::SamplingONoEpochOpt:
-    return std::make_unique<SamplingOrderedListDetector>(NumThreads,
-                                                         /*LocalEpochOpt=*/
-                                                         false);
-  case EngineKind::TreeClockFull:
-    return std::make_unique<PolicyDetector<TreeClockPolicy>>(
-        "TC", NumThreads, HistoryKind::VectorClocks);
-  }
-  return nullptr;
+  const EngineRow *R = row(K);
+  return R ? R->Make(R->Name, NumThreads) : nullptr;
 }
 
 std::vector<std::unique_ptr<Detector>>

@@ -115,23 +115,6 @@ HBClosureOracle::markedRacePairs() const {
   return Out;
 }
 
-std::vector<size_t> HBClosureOracle::racyEvents(bool MarkedOnly) const {
-  std::vector<size_t> Out;
-  for (size_t J = 0; J < Tr.size(); ++J) {
-    if (MarkedOnly && !Tr[J].Marked)
-      continue;
-    for (size_t I = 0; I < J; ++I) {
-      if (MarkedOnly && !Tr[I].Marked)
-        continue;
-      if (isRace(I, J)) {
-        Out.push_back(J);
-        break;
-      }
-    }
-  }
-  return Out;
-}
-
 std::vector<size_t> HBClosureOracle::declaredRaces(bool MarkedOnly) const {
   std::vector<size_t> Out;
   // Last write event per variable; last read event per (variable, thread).

@@ -42,11 +42,8 @@
 #include "sampletrack/explore/Scheduler.h"
 #include "sampletrack/explore/Workload.h"
 #include "sampletrack/detectors/DetectorFactory.h"
-#include "sampletrack/detectors/FastTrackDetector.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
-#include "sampletrack/detectors/SamplingNaiveDetector.h"
-#include "sampletrack/detectors/SamplingOrderedListDetector.h"
-#include "sampletrack/detectors/SamplingUClockDetector.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 #include "sampletrack/perfgate/PerfGate.h"
 #include "sampletrack/prof/ChromeTrace.h"
 #include "sampletrack/prof/Profiler.h"

@@ -160,9 +160,6 @@ public:
   ~AnalysisSession();
 
   // -- Builder ----------------------------------------------------------
-  AnalysisSession &configure(SessionConfig C);
-  AnalysisSession &addEngine(EngineKind K);
-  AnalysisSession &addEngines(std::span<const EngineKind> Kinds);
   /// Adds a caller-owned detector lane. The detector must outlive the run
   /// and is single-use.
   AnalysisSession &addDetector(Detector &D);
@@ -176,10 +173,11 @@ public:
 
   // -- Incremental ingestion -------------------------------------------
   /// Materializes the lanes and the sampler. The thread-universe size is
-  /// Config.NumThreads when nonzero (an explicit override always wins),
-  /// else \p NumThreads (the source-derived size), else Config.MaxThreads
-  /// (the live-hook fallback). Fails if already active or if no lane is
-  /// configured.
+  /// Config.NumThreads when nonzero, else \p NumThreads (the source-derived
+  /// size), else Config.MaxThreads (the live-hook fallback). Fails if
+  /// already active, if no lane is configured, or if a nonzero
+  /// Config.NumThreads is below a nonzero \p NumThreads (the source's
+  /// thread ids would index past the lanes' thread tables).
   bool begin(size_t NumThreads = 0, std::string *Error = nullptr);
   bool active() const { return Active; }
   /// Thread-universe size of the active run (0 when inactive).
@@ -344,9 +342,9 @@ public:
   /// that will register).
   explicit SessionHooks(AnalysisSession &Session) : Session(Session) {}
 
-  /// Dense thread ids; 0 is pre-registered as the main thread. Asserts
-  /// that the id stays within the session's thread universe (mirroring
-  /// rt::Runtime::registerThread).
+  /// Dense thread ids; 0 is pre-registered as the main thread. Registering
+  /// past the session's thread universe aborts with a message in every
+  /// build type (as rt::Runtime::registerThread does).
   ThreadId registerThread();
   SyncId registerSync();
 

@@ -31,11 +31,9 @@ namespace api {
 /// see the identical sample set S (appendix A.1's apples-to-apples rule).
 enum class SamplerKind : uint8_t {
   Always,    ///< Every access is in S (full detection).
-  Never,     ///< Empty S; isolates streaming overhead.
   Bernoulli, ///< Independent coin per access at SamplingRate (the paper's
              ///< strategy). A rate >= 1.0 degrades to Always so runs stay
              ///< deterministic.
-  Periodic,  ///< Every SamplePeriod-th access (deterministic; tests).
   Marked,    ///< Replay the Marked bits carried by the trace.
 };
 
@@ -54,8 +52,6 @@ struct SessionConfig {
   double SamplingRate = 0.03;
   /// Seed for the Bernoulli decision stream.
   uint64_t Seed = 1;
-  /// Period for SamplerKind::Periodic.
-  uint64_t SamplePeriod = 32;
 
   // -- Ingestion --------------------------------------------------------
   /// Events decoded per batch when streaming from a file/istream source.
@@ -99,7 +95,8 @@ struct SessionConfig {
   size_t Shards = 0;
   /// Thread-universe size for detector construction. 0 means "derive from
   /// the source" (trace header or Trace::numThreads); live-hook sessions
-  /// fall back to MaxThreads.
+  /// fall back to MaxThreads. A nonzero value below the source's thread
+  /// count fails AnalysisSession::begin.
   size_t NumThreads = 0;
 
   // -- Test seams (differential-harness axes) ----------------------------

@@ -7,16 +7,17 @@
 ///
 /// \file
 /// The streaming race-detector interface shared by all engines (Djit+,
-/// FastTrack, the three sampling engines ST/SU/SO and the tree-clock
-/// ablation TC). A detector consumes batches of events; access events carry
-/// the sampling decision, realizing the adaptive "marked events"
-/// formulation of the Analysis Problem (Problem 1). Synchronization events
-/// are always processed.
+/// FastTrack, the sampling engines ST/SU/SO and their ablations, and the
+/// tree-clock ablation TC). A detector consumes batches of events; access
+/// events carry the sampling decision, realizing the adaptive "marked
+/// events" formulation of the Analysis Problem (Problem 1).
+/// Synchronization events are always processed.
 ///
-/// The interface is type-erased at batch granularity only. The per-event
-/// path (sampletrack/detectors/PolicyDetector.h) runs on plain,
-/// non-polymorphic state: \ref LaneState plus the engine policy's thread,
-/// sync and history tables.
+/// The interface is type-erased at batch granularity only, with one batch
+/// entry for sharded and unsharded lanes alike. Its one implementation,
+/// PolicyDetector (sampletrack/detectors/PolicyDetector.h), runs the
+/// per-event path on plain, non-polymorphic state: \ref LaneState plus the
+/// engine policy's thread, sync and history tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,7 +127,7 @@ public:
   /// One event, through the per-event reference loop. \p Sampled is
   /// ignored for non-access events. Unsharded instances only.
   void processEvent(const Event &E, bool Sampled) {
-    assert(!shardCount() && "a shard is driven by processShardBatch");
+    assert(!shardCount() && "a shard is driven by processBatch");
     const uint8_t Decision = Sampled ? 1 : 0;
     processBatchGeneric({&E, 1}, {&Decision, 1});
   }
@@ -134,19 +135,15 @@ public:
   /// Batched ingestion: dispatches Events[I] with decision Sampled[I]
   /// (nonzero = in S; only meaningful for access events) through the
   /// engine's batch loop, crossing the virtual boundary once per batch.
-  /// Bit-identical to \ref processBatchGeneric. Unsharded instances only;
-  /// a shard takes \ref processShardBatch.
+  /// Bit-identical to \ref processBatchGeneric. A shard (\ref setShard)
+  /// reads \p Owners, the batch's routing
+  /// ShardMap(shardCount()).route(Events), which a driver computes once per
+  /// batch and shares across the lane's shards, so the per-batch cost
+  /// tracks the shard's own events. An unsharded instance takes \p Owners
+  /// empty.
   virtual void processBatch(std::span<const Event> Events,
-                            std::span<const uint8_t> Sampled) = 0;
-
-  /// Batched ingestion for a shard (\ref setShard): \p Owners is the
-  /// batch's routing, ShardMap(shardCount()).route(Events), which a driver
-  /// computes once per batch and shares across the lane's shards. The
-  /// per-batch cost tracks the shard's own events. Bit-identical to
-  /// \ref processBatchGeneric.
-  virtual void processShardBatch(std::span<const Event> Events,
-                                 std::span<const uint8_t> Sampled,
-                                 std::span<const uint8_t> Owners) = 0;
+                            std::span<const uint8_t> Sampled,
+                            std::span<const uint8_t> Owners) = 0;
 
   /// The per-event reference loop. A shard routes each event here with a
   /// plain VarId % shardCount(), independently of ShardMap. Kept
@@ -208,7 +205,7 @@ public:
   /// replicates every sync event (so its per-thread clock state is
   /// byte-identical to an unsharded run's), sees foreign sampled accesses
   /// only through the policy's ForeignHook, and skips every other foreign
-  /// access without touching it. Drive it with \ref processShardBatch (or
+  /// access without touching it. Drive it with \ref processBatch (or
   /// \ref processBatchGeneric). Must be called before the first event.
   void setShard(uint32_t Index, uint32_t Count) {
     Lane.setShard(Index, Count);

@@ -7,6 +7,11 @@
 ///
 /// \file
 /// Names and constructs the race-detection engines evaluated in the paper.
+/// The registry is one table (DetectorFactory.cpp) with a row per
+/// EngineKind: the printed name, an optional long alias and how the engine
+/// is built (a PolicyDetector over a policy, a history kind and the
+/// policy's arguments). Every function below reads that table, so a new
+/// engine is a policy plus a row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +40,8 @@ enum class EngineKind {
                  ///< race checks (Section 7's related-work comparison).
 };
 
-/// Short name as used in the paper ("Djit+", "FT", "ST", "SU", "SO", ...).
+/// Short name as used in the paper ("Djit+", "FT", "ST", "SU", "SO", ...);
+/// createDetector(K, N)->name() reports the same name.
 const char *engineKindName(EngineKind K);
 
 /// Parses an engine name, case-insensitively: the names printed by

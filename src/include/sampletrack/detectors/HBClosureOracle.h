@@ -60,10 +60,6 @@ public:
   /// verdict set).
   std::vector<std::pair<size_t, size_t>> markedRacePairs() const;
 
-  /// Events e_j such that some earlier conflicting e_i is unordered; when
-  /// \p MarkedOnly, both events must be marked.
-  std::vector<size_t> racyEvents(bool MarkedOnly) const;
-
   /// Event indices at which a streaming detector with last-access histories
   /// (last write per variable, last read per variable and thread) declares
   /// a race, computed against exact HB. With \p MarkedOnly this is the

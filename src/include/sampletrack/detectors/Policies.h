@@ -233,7 +233,10 @@ protected:
 /// event pays one whole-clock join or copy. Over epoch histories this is
 /// FastTrack (Flanagan & Freund, PLDI 2009), "FT"; over vector-clock
 /// histories it is Djit+ (Algorithm 1), the baseline the sampling
-/// timestamps are defined against (Section 2.1).
+/// timestamps are defined against (Section 2.1). The epoch optimization is
+/// orthogonal to the paper's contributions, which is why the sampling
+/// engines derive from Djit+. The whole-clock joins on the sync path run
+/// through the simd clock kernels, clipped to each clock's active prefix.
 class FastTrackPolicy : public PolicyBase {
 public:
   static constexpr bool SkipUnsampled = false;
@@ -359,8 +362,11 @@ public:
 //===----------------------------------------------------------------------===//
 
 /// ST: the sampling timestamp C_sam with naive communication. Local clocks
-/// advance only at the first release after a sampled event, but every sync
-/// event still pays a whole-clock operation.
+/// advance only at the first release after a sampled event (RelAfter_S), so
+/// thread and lock clocks change at most |S| times, but every sync event
+/// still pays a whole-clock operation (O(T) worst case; O(active) through
+/// the simd kernels). ST is the baseline SU and SO are measured against
+/// (Fig. 5(b)).
 class SamplingNaivePolicy : public SamplingPolicyBase {
 public:
   static constexpr bool SplitAcquire = false;
@@ -455,7 +461,10 @@ public:
 /// SU: sampling clocks plus freshness clocks U counting per-entry updates
 /// (the VT timestamp, Eq. 9). Scalar freshness comparisons let acquires
 /// skip joins that bring nothing new (Proposition 5) and releases skip
-/// copies the sync object already holds.
+/// copies the sync object already holds. Timestamping work drops to
+/// O(|S| T (T + L)); the joins that do happen, the change-counting join
+/// that maintains U included, are kernel passes over the source clock's
+/// active prefix.
 ///
 /// Non-mutex synchronization follows appendix A.2: a release-store may
 /// skip only as a monotone update, i.e. when the storing thread observed
@@ -622,7 +631,11 @@ private:
 /// SO: sampling clocks stored in ordered lists, shared between threads and
 /// sync objects by reference with copy-on-write, plus the scalar freshness
 /// check. A release is O(1); an acquire traverses only the
-/// U_l - U_t(LR_l) freshest list entries (Proposition 6).
+/// U_l - U_t(LR_l) freshest list entries (Proposition 6). Total
+/// timestamping work is O(|S| T^2), independent of the number of locks,
+/// and instance optimal up to a factor T (Lemma 9). The race-check and
+/// snapshot passes run over the list's time array through the simd clock
+/// kernels.
 ///
 /// Snapshot lifecycle: a release publishes the thread's list by reference;
 /// the owner's next mutation re-owns it, in place when every published

@@ -11,11 +11,13 @@
 /// plain, non-polymorphic state (the lane's \ref LaneState, the policy,
 /// and flat thread, sync and access-history tables) with the batch loops,
 /// the per-event reference loop and the handlers they call.
-/// \ref PolicyDetector wraps it in the type-erased Detector interface. All
-/// six engines are this template: FT and Djit+ over FastTrackPolicy (epoch
-/// and vector-clock histories), ST, SU and SO over their sampling
-/// policies, and TC over TreeClockPolicy. The online runtime drives the
-/// same policies concurrently.
+/// \ref PolicyDetector wraps it in the type-erased Detector interface and
+/// is the only detector class: each engine is a row of the engine table
+/// (DetectorFactory.cpp) naming a policy, a history kind and the policy's
+/// arguments. FT and Djit+ run FastTrackPolicy (epoch and vector-clock
+/// histories), ST, SU, SO and SO-noepoch their sampling policies, and TC
+/// TreeClockPolicy. The online runtime drives the same policies
+/// concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +28,6 @@
 #include "sampletrack/detectors/Policies.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <vector>
 
 namespace sampletrack {
@@ -294,8 +295,11 @@ private:
 };
 
 /// The Detector over \p Policy: the type-erased lane around a
-/// PolicyEngine, crossing the virtual boundary once per batch.
-template <typename Policy> class PolicyDetector : public Detector {
+/// PolicyEngine, crossing the virtual boundary once per batch. Every
+/// engine is one of these, named by its row in the engine table
+/// (DetectorFactory.cpp); ablation variants without a row (the sampling
+/// engines over epoch histories) are built directly.
+template <typename Policy> class PolicyDetector final : public Detector {
 public:
   template <typename... PolicyArgs>
   PolicyDetector(std::string Name, size_t NumThreads, HistoryKind Histories,
@@ -303,14 +307,16 @@ public:
       : Detector(std::move(Name), &Eng), Eng(NumThreads, Histories, Args...) {
   }
 
+  /// One predictable branch per batch picks the shard or the plain loop.
   void processBatch(std::span<const Event> Events,
-                    std::span<const uint8_t> Sampled) final {
+                    std::span<const uint8_t> Sampled,
+                    std::span<const uint8_t> Owners) final {
+    if (Eng.Map.count()) {
+      Eng.batchSharded(Events, Sampled, Owners);
+      return;
+    }
+    assert(Owners.empty() && "an unsharded lane takes no routing");
     Eng.batch(Events, Sampled);
-  }
-  void processShardBatch(std::span<const Event> Events,
-                         std::span<const uint8_t> Sampled,
-                         std::span<const uint8_t> Owners) final {
-    Eng.batchSharded(Events, Sampled, Owners);
   }
   void processBatchGeneric(std::span<const Event> Events,
                            std::span<const uint8_t> Sampled) final {
@@ -321,14 +327,8 @@ public:
     Eng.Pol.setPoolingEnabled(Enabled);
   }
 
-  /// Local epoch e_t of thread \p T (sampling engines).
-  ClockValue localEpoch(ThreadId T) const
-    requires std::is_base_of_v<SamplingThread, typename Policy::Thread>
-  {
-    return Eng.Threads[T].Epoch;
-  }
-
-protected:
+  /// The policy's state of thread \p T (tests read its clocks: .C, .U,
+  /// .Epoch, SO's .component(T, Of)).
   const typename Policy::Thread &thread(ThreadId T) const {
     return Eng.Threads[T];
   }

@@ -78,7 +78,7 @@ public:
   /// Routes one batch: Owners[I] is owner(var) for an access and
   /// \ref Replicated for every other event. A session computes it once
   /// per batch and hands the same owners to each of a lane's shards
-  /// (Detector::processShardBatch). Branch-free per event: the trace
+  /// (Detector::processBatch). Branch-free per event: the trace
   /// interleaves accesses and sync events unpredictably.
   void route(std::span<const Event> Events, std::span<uint8_t> Owners) const {
     assert(Events.size() == Owners.size() && "one owner per event");

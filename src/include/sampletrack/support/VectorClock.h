@@ -178,12 +178,6 @@ public:
     Active = 0;
   }
 
-  /// Sum of all components; the paper bounds this by |S| for sampling
-  /// timestamps (Section 4.1).
-  ClockValue componentSum() const {
-    return simd::sum(Values.data(), Active);
-  }
-
   bool operator==(const VectorClock &Other) const {
     return Values == Other.Values;
   }

@@ -8,8 +8,8 @@
 /// \file
 /// The vectorized inner loops of every engine: pointwise max (the vector
 /// clock join of Eq. 4), pointwise <= (the \f$ \sqsubseteq \f$ of Eq. 3),
-/// the change-counting join Algorithm 3 charges to U_t(t), and component
-/// sums. All kernels operate on flat uint64_t arrays — the SoA storage of
+/// and the change-counting join Algorithm 3 charges to U_t(t). All
+/// kernels operate on flat uint64_t arrays — the SoA storage of
 /// VectorClock and OrderedList — and are selected once at startup from a
 /// small tier ladder:
 ///
@@ -69,7 +69,6 @@ struct KernelTable {
   void (*JoinMax)(ClockValue *Dst, const ClockValue *Src, size_t N);
   unsigned (*JoinMaxCount)(ClockValue *Dst, const ClockValue *Src, size_t N);
   bool (*AllLeq)(const ClockValue *A, const ClockValue *B, size_t N);
-  ClockValue (*Sum)(const ClockValue *V, size_t N);
   Tier T;
 };
 
@@ -117,17 +116,6 @@ inline bool allLeq(const ClockValue *A, const ClockValue *B, size_t N) {
     return true;
   }
   return detail::table()->AllLeq(A, B, N);
-}
-
-/// Sum of V[0..N) (mod 2^64; addition commutes, so lane order is free).
-inline ClockValue sum(const ClockValue *V, size_t N) {
-  if (N < detail::DispatchThreshold) {
-    ClockValue S = 0;
-    for (size_t I = 0; I < N; ++I)
-      S += V[I];
-    return S;
-  }
-  return detail::table()->Sum(V, N);
 }
 
 } // namespace simd

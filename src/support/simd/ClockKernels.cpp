@@ -7,8 +7,8 @@
 //
 // Tier implementations and the runtime dispatch. Every kernel here must be
 // bit-identical to the scalar tier: max and <= are exact lane-wise
-// functions, the change count is lane-order independent, and the sum is a
-// mod-2^64 reduction where addition commutes. The differential fuzz
+// functions, and the change count is lane-order independent. The
+// differential fuzz
 // harness's SimdTier axis and ClockTest's width-boundary property cases
 // hold every tier to that contract.
 //
@@ -67,15 +67,8 @@ bool allLeqScalar(const ClockValue *A, const ClockValue *B, size_t N) {
   return true;
 }
 
-ClockValue sumScalar(const ClockValue *V, size_t N) {
-  ClockValue S = 0;
-  for (size_t I = 0; I < N; ++I)
-    S += V[I];
-  return S;
-}
-
-constexpr detail::KernelTable ScalarTable = {
-    joinMaxScalar, joinMaxCountScalar, allLeqScalar, sumScalar, Tier::Scalar};
+constexpr detail::KernelTable ScalarTable = {joinMaxScalar, joinMaxCountScalar,
+                                             allLeqScalar, Tier::Scalar};
 
 //===----------------------------------------------------------------------===//
 // AVX2 tier (x86-64). Compiled with a function-level target attribute so
@@ -149,23 +142,8 @@ allLeqAvx2(const ClockValue *A, const ClockValue *B, size_t N) {
   return true;
 }
 
-__attribute__((target("avx2"))) ClockValue sumAvx2(const ClockValue *V,
-                                                   size_t N) {
-  __m256i Acc = _mm256_setzero_si256();
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4)
-    Acc = _mm256_add_epi64(
-        Acc, _mm256_loadu_si256(reinterpret_cast<const __m256i *>(V + I)));
-  alignas(32) ClockValue Lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i *>(Lanes), Acc);
-  ClockValue S = Lanes[0] + Lanes[1] + Lanes[2] + Lanes[3];
-  for (; I < N; ++I)
-    S += V[I];
-  return S;
-}
-
 constexpr detail::KernelTable Avx2Table = {joinMaxAvx2, joinMaxCountAvx2,
-                                           allLeqAvx2, sumAvx2, Tier::Avx2};
+                                           allLeqAvx2, Tier::Avx2};
 
 #endif // SAMPLETRACK_SIMD_X86
 
@@ -220,19 +198,8 @@ bool allLeqNeon(const ClockValue *A, const ClockValue *B, size_t N) {
   return true;
 }
 
-ClockValue sumNeon(const ClockValue *V, size_t N) {
-  uint64x2_t Acc = vdupq_n_u64(0);
-  size_t I = 0;
-  for (; I + 2 <= N; I += 2)
-    Acc = vaddq_u64(Acc, vld1q_u64(V + I));
-  ClockValue S = vgetq_lane_u64(Acc, 0) + vgetq_lane_u64(Acc, 1);
-  for (; I < N; ++I)
-    S += V[I];
-  return S;
-}
-
 constexpr detail::KernelTable NeonTable = {joinMaxNeon, joinMaxCountNeon,
-                                           allLeqNeon, sumNeon, Tier::Neon};
+                                           allLeqNeon, Tier::Neon};
 
 #endif // SAMPLETRACK_SIMD_NEON
 

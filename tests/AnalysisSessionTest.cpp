@@ -202,6 +202,42 @@ TEST(AnalysisSession, LiveHooksMatchEquivalentTrace) {
   EXPECT_EQ(FromHooks.Engines[0].NumRaces, 1u); // The unprotected w(y) pair.
 }
 
+TEST(AnalysisSession, ThreadOverrideBelowTheSourceFailsBegin) {
+  // Every lane sizes its thread table by the universe, so a source thread
+  // id past an override would index past it.
+  Trace T = goldenTrace();
+  ASSERT_GT(T.numThreads(), 2u);
+  api::SessionConfig Cfg;
+  Cfg.Engines = {EngineKind::FastTrack};
+  Cfg.NumThreads = 2;
+  std::string Err;
+  EXPECT_FALSE(api::AnalysisSession(Cfg).begin(T.numThreads(), &Err));
+  EXPECT_NE(Err.find("NumThreads = 2 "), std::string::npos) << Err;
+  EXPECT_NE(Err.find("thread count " + std::to_string(T.numThreads())),
+            std::string::npos)
+      << Err;
+  EXPECT_TRUE(api::AnalysisSession(Cfg).run(T).Engines.empty());
+
+  // An override at or above the source's count still wins.
+  Cfg.NumThreads = T.numThreads() + 2;
+  api::SessionResult R = api::AnalysisSession(Cfg).run(T);
+  ASSERT_EQ(R.Engines.size(), 1u);
+  EXPECT_EQ(R.NumThreads, T.numThreads() + 2);
+}
+
+TEST(AnalysisSession, RegisteringPastTheThreadUniverseEndsTheProcess) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  api::SessionConfig Cfg;
+  Cfg.Engines = {EngineKind::FastTrack};
+  Cfg.MaxThreads = 2;
+  api::AnalysisSession Session(Cfg);
+  ASSERT_TRUE(Session.begin());
+  api::SessionHooks Hooks(Session);
+  EXPECT_EQ(Hooks.registerThread(), 1u);
+  EXPECT_DEATH(Hooks.registerThread(),
+               "thread universe exhausted .2 threads.");
+}
+
 TEST(AnalysisSession, DuplicateDeclarationsDedupWithoutTruncation) {
   // Two threads alternating unsynchronized writes to one location: every
   // access after the first declares a race — historically this overflowed

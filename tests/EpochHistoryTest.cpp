@@ -18,9 +18,7 @@
 
 #include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
-#include "sampletrack/detectors/SamplingNaiveDetector.h"
-#include "sampletrack/detectors/SamplingOrderedListDetector.h"
-#include "sampletrack/detectors/SamplingUClockDetector.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 #include "sampletrack/trace/TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -73,21 +71,15 @@ TEST_P(EpochHistorySweep, SameRacyLocationsAndFirstDeclarations) {
     std::unique_ptr<Detector> Vc, Eh;
   };
   EnginePair Pairs[3];
-  Pairs[0] = {"ST",
-              std::make_unique<SamplingNaiveDetector>(
-                  NT, HistoryKind::VectorClocks),
-              std::make_unique<SamplingNaiveDetector>(NT,
-                                                      HistoryKind::Epochs)};
-  Pairs[1] = {"SU",
-              std::make_unique<SamplingUClockDetector>(
-                  NT, HistoryKind::VectorClocks),
-              std::make_unique<SamplingUClockDetector>(NT,
-                                                       HistoryKind::Epochs)};
-  Pairs[2] = {"SO",
-              std::make_unique<SamplingOrderedListDetector>(
-                  NT, true, HistoryKind::VectorClocks),
-              std::make_unique<SamplingOrderedListDetector>(
-                  NT, true, HistoryKind::Epochs)};
+  Pairs[0] = {"ST", createDetector(EngineKind::SamplingNaive, NT),
+              std::make_unique<PolicyDetector<SamplingNaivePolicy>>(
+                  "ST", NT, HistoryKind::Epochs)};
+  Pairs[1] = {"SU", createDetector(EngineKind::SamplingU, NT),
+              std::make_unique<PolicyDetector<SamplingUClockPolicy>>(
+                  "SU", NT, HistoryKind::Epochs)};
+  Pairs[2] = {"SO", createDetector(EngineKind::SamplingO, NT),
+              std::make_unique<PolicyDetector<SamplingOrderedListPolicy>>(
+                  "SO", NT, HistoryKind::Epochs)};
 
   for (EnginePair &P : Pairs) {
     auto [VcLocs, VcFirst] = runAndSummarize(T, *P.Vc);
@@ -103,9 +95,10 @@ TEST_P(EpochHistorySweep, EpochHistoriesDoLessAccessWork) {
   if (Rate < 0.2)
     GTEST_SKIP() << "needs enough samples to measure";
   Trace T = racyTrace(Seed, Rate);
-  SamplingOrderedListDetector Vc(T.numThreads(), true,
-                                 HistoryKind::VectorClocks);
-  SamplingOrderedListDetector Eh(T.numThreads(), true, HistoryKind::Epochs);
+  PolicyDetector<SamplingOrderedListPolicy> Vc("SO", T.numThreads(),
+                                               HistoryKind::VectorClocks);
+  PolicyDetector<SamplingOrderedListPolicy> Eh("SO", T.numThreads(),
+                                               HistoryKind::Epochs);
   MarkedSampler S1, S2;
   api::AnalysisSession().addDetector(Vc).withSampler(S1).run(T);
   api::AnalysisSession().addDetector(Eh).withSampler(S2).run(T);
@@ -136,8 +129,8 @@ TEST(EpochHistories, FirstRacePerLocationMatchesOracle) {
       if (!OracleFirst.count(T[E].var()))
         OracleFirst[T[E].var()] = E;
 
-    SamplingOrderedListDetector Eh(T.numThreads(), true,
-                                   HistoryKind::Epochs);
+    PolicyDetector<SamplingOrderedListPolicy> Eh("SO", T.numThreads(),
+                                                 HistoryKind::Epochs);
     auto [Locs, First] = runAndSummarize(T, Eh);
     EXPECT_EQ(OracleFirst, First) << "seed " << Seed;
   }

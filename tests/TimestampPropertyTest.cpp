@@ -21,9 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "sampletrack/detectors/HBClosureOracle.h"
-#include "sampletrack/detectors/SamplingNaiveDetector.h"
-#include "sampletrack/detectors/SamplingOrderedListDetector.h"
-#include "sampletrack/detectors/SamplingUClockDetector.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 #include "sampletrack/sampling/Sampler.h"
 #include "sampletrack/trace/TraceGen.h"
 
@@ -84,10 +82,13 @@ TEST_P(PropertySweep, LockstepClockEqualityAcrossEngines) {
   Trace T = randomMarkedTrace(Seed, Rate);
   size_t NT = T.numThreads();
 
-  SamplingNaiveDetector ST(NT);
-  SamplingUClockDetector SU(NT);
-  SamplingOrderedListDetector SO(NT, /*LocalEpochOpt=*/true);
-  SamplingOrderedListDetector SON(NT, /*LocalEpochOpt=*/false);
+  const HistoryKind Vc = HistoryKind::VectorClocks;
+  PolicyDetector<SamplingNaivePolicy> ST("ST", NT, Vc);
+  PolicyDetector<SamplingUClockPolicy> SU("SU", NT, Vc);
+  PolicyDetector<SamplingOrderedListPolicy> SO("SO", NT, Vc,
+                                               /*LocalEpochOpt=*/true);
+  PolicyDetector<SamplingOrderedListPolicy> SON("SO-noepoch", NT, Vc,
+                                                /*LocalEpochOpt=*/false);
 
   for (size_t I = 0; I < T.size(); ++I) {
     const Event &E = T[I];
@@ -96,17 +97,17 @@ TEST_P(PropertySweep, LockstepClockEqualityAcrossEngines) {
     SO.processEvent(E, E.Marked);
     SON.processEvent(E, E.Marked);
     for (ThreadId A = 0; A < NT; ++A) {
-      ASSERT_EQ(ST.localEpoch(A), SU.localEpoch(A)) << "event " << I;
-      ASSERT_EQ(ST.localEpoch(A), SO.localEpoch(A)) << "event " << I;
+      ASSERT_EQ(ST.thread(A).Epoch, SU.thread(A).Epoch) << "event " << I;
+      ASSERT_EQ(ST.thread(A).Epoch, SO.thread(A).Epoch) << "event " << I;
       for (ThreadId B = 0; B < NT; ++B) {
-        ClockValue Ref = ST.threadClock(A).get(B);
-        ASSERT_EQ(SU.threadClock(A).get(B), Ref)
+        ClockValue Ref = ST.thread(A).C.get(B);
+        ASSERT_EQ(SU.thread(A).C.get(B), Ref)
             << "SU clock diverged at event " << I << " C_" << A << "(" << B
             << ")";
-        ASSERT_EQ(SO.effectiveComponent(A, B), Ref)
+        ASSERT_EQ(SO.thread(A).component(A, B), Ref)
             << "SO clock diverged at event " << I << " C_" << A << "(" << B
             << ")";
-        ASSERT_EQ(SON.effectiveComponent(A, B), Ref)
+        ASSERT_EQ(SON.thread(A).component(A, B), Ref)
             << "SO-noepoch clock diverged at event " << I << " C_" << A
             << "(" << B << ")";
       }
@@ -141,8 +142,12 @@ TEST_P(PropertySweep, ComponentSumBoundedBySampleSize) {
   HBClosureOracle Oracle(T);
   std::vector<VectorClock> Csam = Oracle.samplingTimestamps();
   uint64_t S = T.countMarked();
-  for (size_t I = 0; I < T.size(); ++I)
-    EXPECT_LE(Csam[I].componentSum(), S) << "event " << I;
+  for (size_t I = 0; I < T.size(); ++I) {
+    ClockValue Sum = 0;
+    for (ThreadId X = 0; X < T.numThreads(); ++X)
+      Sum += Csam[I].get(X);
+    EXPECT_LE(Sum, S) << "event " << I;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -191,37 +196,39 @@ TEST(Figure1Example, Algorithm2ClockEvolution) {
   Trace T = figure1Trace();
   ASSERT_TRUE(T.validate());
 
-  SamplingNaiveDetector D(T.numThreads());
+  PolicyDetector<SamplingNaivePolicy> D("ST", T.numThreads(),
+                                        HistoryKind::VectorClocks);
   MarkedSampler S;
   // Process up to (and including) e6 = index 5: the first release sends
   // <1,0> to l1 and bumps t1's local epoch to 2.
   for (size_t I = 0; I <= 5; ++I)
     D.processEvent(T[I], T[I].Marked);
-  EXPECT_EQ(D.threadClock(0).get(0), 1u);
-  EXPECT_EQ(D.localEpoch(0), 2u);
+  EXPECT_EQ(D.thread(0).C.get(0), 1u);
+  EXPECT_EQ(D.thread(0).Epoch, 2u);
 
   // After e10 (rel(l2), index 9): NOT a RelAfter release — epoch unchanged,
   // clock still <1,0> (the paper highlights this step).
   for (size_t I = 6; I <= 9; ++I)
     D.processEvent(T[I], T[I].Marked);
-  EXPECT_EQ(D.threadClock(0).get(0), 1u);
-  EXPECT_EQ(D.localEpoch(0), 2u);
+  EXPECT_EQ(D.thread(0).C.get(0), 1u);
+  EXPECT_EQ(D.thread(0).Epoch, 2u);
 
   // After e17 (rel(l4), index 16): e15/e16 were sampled, so the release
   // flushes: C_t1 = <2,0>, epoch 3.
   for (size_t I = 10; I <= 16; ++I)
     D.processEvent(T[I], T[I].Marked);
-  EXPECT_EQ(D.threadClock(0).get(0), 2u);
-  EXPECT_EQ(D.localEpoch(0), 3u);
+  EXPECT_EQ(D.thread(0).C.get(0), 2u);
+  EXPECT_EQ(D.thread(0).Epoch, 3u);
 
   // e18: t2 receives <2,0>.
   D.processEvent(T[17], false);
-  EXPECT_EQ(D.threadClock(1).get(0), 2u);
+  EXPECT_EQ(D.thread(1).C.get(0), 2u);
 }
 
 TEST(Figure2Example, Algorithm3SkipsRedundantAcquires) {
   Trace T = figure1Trace();
-  SamplingUClockDetector D(T.numThreads());
+  PolicyDetector<SamplingUClockPolicy> D("SU", T.numThreads(),
+                                         HistoryKind::VectorClocks);
   for (size_t I = 0; I < T.size(); ++I)
     D.processEvent(T[I], T[I].Marked);
 
@@ -234,9 +241,9 @@ TEST(Figure2Example, Algorithm3SkipsRedundantAcquires) {
   EXPECT_EQ(M.AcquiresSkipped, 6u);
 
   // Final clocks match the right-hand table of Fig. 2.
-  EXPECT_EQ(D.threadClock(1).get(0), 2u);
-  EXPECT_EQ(D.freshnessClock(1).get(0), 2u);
-  EXPECT_EQ(D.freshnessClock(1).get(1), 2u) << "two entry updates at t2";
+  EXPECT_EQ(D.thread(1).C.get(0), 2u);
+  EXPECT_EQ(D.thread(1).U.get(0), 2u);
+  EXPECT_EQ(D.thread(1).U.get(1), 2u) << "two entry updates at t2";
 }
 
 TEST(Figure1Example, NoRaceDeclaredAmongMarkedEvents) {

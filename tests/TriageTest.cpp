@@ -203,13 +203,13 @@ TEST(RaceSink, WarmDetectorDeclareRaceDoesNotAllocate) {
       createDetector(EngineKind::FastTrack, Warm.numThreads());
   std::vector<uint8_t> Ds(Warm.size(), 1);
   D->processBatch(std::span<const Event>(Warm.events()),
-                  std::span<const uint8_t>(Ds));
+                  std::span<const uint8_t>(Ds), {});
   uint64_t DeclaredWarm = D->metrics().RacesDeclared;
   ASSERT_GT(DeclaredWarm, 0u);
 
   uint64_t Before = GAllocCount.load(std::memory_order_relaxed);
   D->processBatch(std::span<const Event>(Warm.events()),
-                  std::span<const uint8_t>(Ds));
+                  std::span<const uint8_t>(Ds), {});
   EXPECT_EQ(GAllocCount.load(std::memory_order_relaxed), Before)
       << "warm declareRace path allocated";
   EXPECT_GT(D->metrics().RacesDeclared, DeclaredWarm);
