@@ -259,27 +259,69 @@ TEST(TreeClockEngine, MatchesSamplingVerdictsOnMutexTraces) {
 }
 
 //===----------------------------------------------------------------------===//
-// Pinned counters of the two full-HB engines. The differential harnesses
-// compare two paths of one build, so a counter drift in both passes them,
-// and the fig8 gate covers SU/SO only. These values were recorded from the
-// stand-alone Djit+ and tree-clock detectors that the policies replaced.
+// Pinned counters. The differential harnesses compare two paths of one
+// build (OnlineOfflineTest runs one policy online and offline), so a
+// counter drift that both paths share passes them, and the fig8 gate covers
+// SU/SO on its own traces only. The full-HB values were recorded from the
+// stand-alone Djit+ and tree-clock detectors that the policies replaced;
+// the sampling engines' values from the engines before their per-event
+// constant-factor work (lane-private snapshot pools, SU's inline freshness
+// scalar, SO's one-pass prefix walk).
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 struct PinnedRun {
   EngineKind Engine;
-  /// A suite benchmark (mutex only), or "barrier" for release-join /
-  /// acquire-load rounds.
+  /// A suite benchmark (mutex only), "barrier" for release-join /
+  /// acquire-load rounds, or "atomics" for release-stores mixed in.
   const char *TraceName;
   double Rate;
   uint64_t Counters[std::size(MetricsFields)];
   std::vector<size_t> Declared;
 };
 
+/// Four forked workers mixing mutex sections with release-stores,
+/// release-joins and acquire-loads on two atomics (appendix A.2's paths).
+Trace atomicsTrace() {
+  Trace T;
+  for (ThreadId W = 1; W <= 4; ++W)
+    T.fork(0, W);
+  std::mt19937 Rng(3);
+  for (int I = 0; I < 400; ++I) {
+    const ThreadId W = 1 + Rng() % 4;
+    const SyncId A = 1 + Rng() % 2;
+    switch (Rng() % 6) {
+    case 0:
+      T.acquire(W, 0);
+      T.write(W, 8 + W);
+      T.release(W, 0);
+      break;
+    case 1:
+      T.releaseStore(W, A);
+      break;
+    case 2:
+      T.releaseJoin(W, A);
+      break;
+    case 3:
+      T.acquireLoad(W, A);
+      break;
+    default:
+      if (Rng() % 2)
+        T.write(W, Rng() % 8);
+      else
+        T.read(W, Rng() % 8);
+    }
+  }
+  for (ThreadId W = 1; W <= 4; ++W)
+    T.join(0, W);
+  return T;
+}
+
 Trace pinnedTrace(const std::string &Name, double Rate) {
-  Trace T = Name == "barrier" ? generateBarrierRounds(4, 8, 6, 1)
-                              : generateSuiteTrace(Name, 0.05, 1);
+  Trace T = Name == "barrier"   ? generateBarrierRounds(4, 8, 6, 1)
+            : Name == "atomics" ? atomicsTrace()
+                                : generateSuiteTrace(Name, 0.05, 1);
   markTrace(T, Rate, 11);
   return T;
 }
@@ -325,24 +367,131 @@ const PinnedRun PinnedRuns[] = {
      {}},
 };
 
+/// ST, SU, SO and SO-noepoch: every Metrics field, pool hits and CoW breaks
+/// included, and the declared races.
+const PinnedRun SamplingPinnedRuns[] = {
+    {EngineKind::SamplingNaive, "cassandra", 0.03,
+     {35016, 4868, 140, 15074, 0, 15074, 15074, 0, 15074, 0, 0, 0, 0, 0, 0,
+      30193, 140, 0},
+     {}},
+    {EngineKind::SamplingNaive, "cassandra", 0.3,
+     {35016, 4868, 1535, 15074, 0, 15074, 15074, 0, 15074, 0, 0, 0, 0, 0, 0,
+      30608, 1535, 34},
+     {6115, 6148, 7251, 9358, 11129, 12380, 12618, 12982}},
+    {EngineKind::SamplingNaive, "bufwriter", 0.03,
+     {6001, 4609, 131, 696, 0, 696, 696, 0, 696, 0, 0, 0, 0, 0, 0, 1488, 131,
+      88},
+     {211, 253, 318, 736, 963, 979, 1001, 1230, 1236, 1237, 2861, 2988, 4856}},
+    {EngineKind::SamplingNaive, "bufwriter", 0.3,
+     {6001, 4609, 1450, 696, 0, 696, 696, 0, 696, 0, 0, 0, 0, 0, 0, 2420, 1450,
+      1207},
+     {91, 92, 96, 123, 176, 180, 183, 185, 196, 211, 241, 242, 355, 1034, 1283,
+      1365}},
+    {EngineKind::SamplingNaive, "barrier", 0.3,
+     {430, 360, 93, 35, 0, 35, 35, 0, 35, 0, 0, 0, 0, 0, 0, 114, 93, 0},
+     {}},
+    {EngineKind::SamplingNaive, "atomics", 0.3,
+     {564, 201, 46, 139, 0, 139, 224, 0, 224, 0, 0, 0, 0, 0, 0, 395, 46, 3},
+     {369, 389, 391}},
+    {EngineKind::SamplingU, "cassandra", 0.03,
+     {35016, 4868, 140, 15074, 11192, 3882, 15074, 7714, 7360, 0, 0, 0, 0, 0, 0,
+      22529, 140, 0},
+     {}},
+    {EngineKind::SamplingU, "cassandra", 0.3,
+     {35016, 4868, 1535, 15074, 10087, 4987, 15074, 6179, 8895, 0, 0, 0, 0, 0,
+      0, 28224, 1535, 34},
+     {6115, 6148, 7251, 9358, 11129, 12380, 12618, 12982}},
+    {EngineKind::SamplingU, "bufwriter", 0.03,
+     {6001, 4609, 131, 696, 598, 98, 696, 598, 98, 0, 0, 0, 0, 0, 0, 488, 131,
+      88},
+     {211, 253, 318, 736, 963, 979, 1001, 1230, 1236, 1237, 2861, 2988, 4856}},
+    {EngineKind::SamplingU, "bufwriter", 0.3,
+     {6001, 4609, 1450, 696, 592, 104, 696, 521, 175, 0, 0, 0, 0, 0, 0, 1586,
+      1450, 1207},
+     {91, 92, 96, 123, 176, 180, 183, 185, 196, 211, 241, 242, 355, 1034, 1283,
+      1365}},
+    {EngineKind::SamplingU, "barrier", 0.3,
+     {430, 360, 93, 35, 0, 35, 35, 0, 35, 0, 0, 0, 0, 0, 0, 184, 93, 0},
+     {}},
+    {EngineKind::SamplingU, "atomics", 0.3,
+     {564, 201, 46, 139, 37, 102, 224, 36, 188, 0, 0, 0, 0, 0, 0, 612, 46, 3},
+     {369, 389, 391}},
+    {EngineKind::SamplingO, "cassandra", 0.03,
+     {35016, 4868, 140, 15074, 9055, 6019, 15074, 0, 0, 15074, 1586, 1516, 1586,
+      63045, 144456, 1631, 140, 0},
+     {}},
+    {EngineKind::SamplingO, "cassandra", 0.3,
+     {35016, 4868, 1535, 15074, 8501, 6573, 15074, 0, 0, 15074, 3660, 3562,
+      3660, 141889, 157752, 4120, 1535, 34},
+     {6115, 6148, 7251, 9358, 11129, 12380, 12618, 12982}},
+    {EngineKind::SamplingO, "bufwriter", 0.03,
+     {6001, 4609, 131, 696, 597, 99, 696, 0, 0, 696, 0, 0, 0, 602, 594, 96, 131,
+      88},
+     {211, 253, 318, 736, 963, 979, 1001, 1230, 1236, 1237, 2861, 2988, 4856}},
+    {EngineKind::SamplingO, "bufwriter", 0.3,
+     {6001, 4609, 1450, 696, 592, 104, 696, 0, 0, 696, 0, 0, 0, 683, 624, 1028,
+      1450, 1207},
+     {91, 92, 96, 123, 176, 180, 183, 185, 196, 211, 241, 242, 355, 1034, 1283,
+      1365}},
+    {EngineKind::SamplingO, "barrier", 0.3,
+     {430, 360, 93, 35, 0, 35, 35, 0, 35, 0, 0, 0, 0, 152, 152, 184, 93, 0},
+     {}},
+    {EngineKind::SamplingO, "atomics", 0.3,
+     {564, 201, 46, 139, 35, 104, 224, 0, 71, 153, 14, 12, 14, 460, 540, 330,
+      46, 3},
+     {369, 389, 391}},
+    {EngineKind::SamplingONoEpochOpt, "cassandra", 0.03,
+     {35016, 4868, 140, 15074, 9055, 6019, 15074, 0, 0, 15074, 1695, 1624, 1695,
+      63045, 144456, 1740, 140, 0},
+     {}},
+    {EngineKind::SamplingONoEpochOpt, "cassandra", 0.3,
+     {35016, 4868, 1535, 15074, 8501, 6573, 15074, 0, 0, 15074, 4574, 4470,
+      4574, 141889, 157752, 5034, 1535, 34},
+     {6115, 6148, 7251, 9358, 11129, 12380, 12618, 12982}},
+    {EngineKind::SamplingONoEpochOpt, "bufwriter", 0.03,
+     {6001, 4609, 131, 696, 597, 99, 696, 0, 0, 696, 8, 7, 8, 602, 594, 104,
+      131, 88},
+     {211, 253, 318, 736, 963, 979, 1001, 1230, 1236, 1237, 2861, 2988, 4856}},
+    {EngineKind::SamplingONoEpochOpt, "bufwriter", 0.3,
+     {6001, 4609, 1450, 696, 592, 104, 696, 0, 0, 696, 72, 71, 72, 683, 624,
+      1100, 1450, 1207},
+     {91, 92, 96, 123, 176, 180, 183, 185, 196, 211, 241, 242, 355, 1034, 1283,
+      1365}},
+    {EngineKind::SamplingONoEpochOpt, "barrier", 0.3,
+     {430, 360, 93, 35, 0, 35, 35, 0, 35, 0, 0, 0, 0, 152, 152, 184, 93, 0},
+     {}},
+    {EngineKind::SamplingONoEpochOpt, "atomics", 0.3,
+     {564, 201, 46, 139, 35, 104, 224, 0, 71, 153, 23, 20, 23, 460, 540, 339,
+      46, 3},
+     {369, 389, 391}},
+};
+
+void expectPinned(const PinnedRun &P) {
+  SCOPED_TRACE(std::string(engineKindName(P.Engine)) + " on " + P.TraceName +
+               " at " + std::to_string(P.Rate));
+  Trace T = pinnedTrace(P.TraceName, P.Rate);
+  std::unique_ptr<Detector> D = createDetector(P.Engine, T.numThreads());
+  MarkedSampler S;
+  api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
+  for (size_t I = 0; I < std::size(MetricsFields); ++I)
+    EXPECT_EQ(D->metrics().*MetricsFields[I].Member, P.Counters[I])
+        << MetricsFields[I].Name;
+  std::vector<size_t> Declared;
+  for (const RaceReport &R : D->races())
+    Declared.push_back(R.EventIndex);
+  EXPECT_EQ(Declared, P.Declared);
+}
+
 } // namespace
 
 TEST(PinnedCounters, DjitAndTreeClockDoTheRecordedWork) {
-  for (const PinnedRun &P : PinnedRuns) {
-    SCOPED_TRACE(std::string(engineKindName(P.Engine)) + " on " +
-                 P.TraceName + " at " + std::to_string(P.Rate));
-    Trace T = pinnedTrace(P.TraceName, P.Rate);
-    std::unique_ptr<Detector> D = createDetector(P.Engine, T.numThreads());
-    MarkedSampler S;
-    api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
-    for (size_t I = 0; I < std::size(MetricsFields); ++I)
-      EXPECT_EQ(D->metrics().*MetricsFields[I].Member, P.Counters[I])
-          << MetricsFields[I].Name;
-    std::vector<size_t> Declared;
-    for (const RaceReport &R : D->races())
-      Declared.push_back(R.EventIndex);
-    EXPECT_EQ(Declared, P.Declared);
-  }
+  for (const PinnedRun &P : PinnedRuns)
+    expectPinned(P);
+}
+
+TEST(PinnedCounters, SamplingEnginesDoTheRecordedWork) {
+  for (const PinnedRun &P : SamplingPinnedRuns)
+    expectPinned(P);
 }
 
 TEST(ShardMap, OwnerAndSlotMatchDivisionForEveryCount) {
