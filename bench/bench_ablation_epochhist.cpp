@@ -41,10 +41,10 @@ int main(int argc, char **argv) {
       Trace T = Base;
       markTrace(T, Rates[RI], O.Seed * 71 + RI);
 
-      PolicyDetector<SamplingOrderedListPolicy> Vc(
+      PolicyDetector<SamplingOrderedListPolicy<>> Vc(
           "SO", T.numThreads(), HistoryKind::VectorClocks);
-      PolicyDetector<SamplingOrderedListPolicy> Eh("SO", T.numThreads(),
-                                                   HistoryKind::Epochs);
+      PolicyDetector<SamplingOrderedListPolicy<>> Eh("SO", T.numThreads(),
+                                                     HistoryKind::Epochs);
       MarkedSampler S1, S2;
       api::AnalysisSession().addDetector(Vc).withSampler(S1).run(T);
       api::AnalysisSession().addDetector(Eh).withSampler(S2).run(T);

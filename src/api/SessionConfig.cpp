@@ -10,18 +10,6 @@
 using namespace sampletrack;
 using namespace sampletrack::api;
 
-const char *sampletrack::api::samplerKindName(SamplerKind K) {
-  switch (K) {
-  case SamplerKind::Always:
-    return "always";
-  case SamplerKind::Bernoulli:
-    return "bernoulli";
-  case SamplerKind::Marked:
-    return "marked";
-  }
-  return "?";
-}
-
 std::unique_ptr<Sampler> SessionConfig::makeSampler() const {
   switch (Sampling) {
   case SamplerKind::Always:

@@ -15,12 +15,12 @@ using namespace sampletrack;
 template struct sampletrack::PolicyEngine<FastTrackPolicy>;
 template struct sampletrack::PolicyEngine<SamplingNaivePolicy>;
 template struct sampletrack::PolicyEngine<SamplingUClockPolicy>;
-template struct sampletrack::PolicyEngine<SamplingOrderedListPolicy>;
+template struct sampletrack::PolicyEngine<SamplingOrderedListPolicy<>>;
 template struct sampletrack::PolicyEngine<TreeClockPolicy>;
 template class sampletrack::PolicyDetector<FastTrackPolicy>;
 template class sampletrack::PolicyDetector<SamplingNaivePolicy>;
 template class sampletrack::PolicyDetector<SamplingUClockPolicy>;
-template class sampletrack::PolicyDetector<SamplingOrderedListPolicy>;
+template class sampletrack::PolicyDetector<SamplingOrderedListPolicy<>>;
 template class sampletrack::PolicyDetector<TreeClockPolicy>;
 
 std::string Metrics::str() const {

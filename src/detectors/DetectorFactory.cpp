@@ -50,9 +50,9 @@ constexpr EngineRow Rows[] = {
     {EngineKind::SamplingU, "SU", nullptr,
      construct<SamplingUClockPolicy, Vc>},
     {EngineKind::SamplingO, "SO", nullptr,
-     construct<SamplingOrderedListPolicy, Vc, /*LocalEpochOpt=*/true>},
+     construct<SamplingOrderedListPolicy<>, Vc, /*LocalEpochOpt=*/true>},
     {EngineKind::SamplingONoEpochOpt, "SO-noepoch", nullptr,
-     construct<SamplingOrderedListPolicy, Vc, /*LocalEpochOpt=*/false>},
+     construct<SamplingOrderedListPolicy<>, Vc, /*LocalEpochOpt=*/false>},
     {EngineKind::TreeClockFull, "TC", "treeclock",
      construct<TreeClockPolicy, Vc>},
 };

@@ -37,9 +37,6 @@ enum class SamplerKind : uint8_t {
   Marked,    ///< Replay the Marked bits carried by the trace.
 };
 
-/// Printable name ("always", "bernoulli", ...).
-const char *samplerKindName(SamplerKind K);
-
 /// Configuration of an analysis pipeline: which engines run, how the sample
 /// set is chosen, and how the (optional) online runtime is shaped.
 struct SessionConfig {

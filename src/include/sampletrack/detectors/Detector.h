@@ -115,8 +115,10 @@ struct LaneState {
 /// SessionHooks uses, or the acquire/release claim of the session's
 /// parallel executor). Nothing here is synchronized; running K detectors
 /// on K threads is safe precisely because no two lanes share an instance.
-/// Debug builds assert that no two threads are ever inside one instance
-/// at the same time.
+/// The engines' snapshot pools rely on this too: a lane's SnapshotPool is
+/// PoolSharing::LanePrivate, with plain refcounts and an unlocked free
+/// list, since no snapshot leaves the lane. Debug builds assert that no two
+/// threads are ever inside one instance at the same time.
 class Detector {
 public:
   virtual ~Detector() = default;

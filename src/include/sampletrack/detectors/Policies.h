@@ -27,11 +27,13 @@
 /// bottom and allocate its clocks only when something is stored into it.
 ///
 /// Callers own storage and concurrency. The offline detectors keep flat
-/// vectors and run single-threaded. The runtime runs a Sync's handlers
-/// under that object's mutex and a History's under its shadow shard lock,
-/// with per-thread Metrics. SO's acquire comes in two parts for it: an
-/// O(1) snapshot read under the mutex, and the prefix traversal, which
-/// needs only the pinned snapshot and thread-owned state.
+/// vectors and run single-threaded, so their copy-on-write policies (SO,
+/// TC) keep snapshots in lane-private pools. The runtime runs a Sync's
+/// handlers under that object's mutex and a History's under its shadow
+/// shard lock, with per-thread Metrics, and runs SO over a concurrent pool.
+/// SO's acquire comes in two parts for it: an O(1) snapshot read under the
+/// mutex, and the prefix traversal, which needs only the pinned snapshot
+/// and thread-owned state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +46,7 @@
 #include "sampletrack/support/TreeClock.h"
 #include "sampletrack/support/VectorClock.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace sampletrack {
@@ -61,8 +64,6 @@ enum class HistoryKind {
   VectorClocks, ///< Algorithm 2 as printed: full Cw/Cr vector clocks.
   Epochs,       ///< FastTrack-style write epoch + adaptive read history.
 };
-
-using ListPool = SnapshotPool<OrderedList>;
 
 /// FastTrack's access history: a write epoch and a read epoch, the latter
 /// promoted to a read vector clock once concurrent reads are seen. FT uses
@@ -201,9 +202,8 @@ protected:
   /// Re-owns the snapshot \p R before its owner mutates it (lazy
   /// copy-on-write): in place when every published reference has been
   /// dropped (only the owner mints new ones), else a pooled deep copy.
-  template <typename T>
-  static void ensureOwned(SnapshotPool<T> &Pool,
-                          typename SnapshotPool<T>::Ref &R, bool &Shared,
+  template <typename PoolT>
+  static void ensureOwned(PoolT &Pool, typename PoolT::Ref &R, bool &Shared,
                           Metrics &M) {
     if (!Shared)
       return;
@@ -213,7 +213,7 @@ protected:
     }
     ++M.CowBreaks;
     bool Reused = false;
-    typename SnapshotPool<T>::Ref Copy = Pool.acquire(&Reused);
+    typename PoolT::Ref Copy = Pool.acquire(&Reused);
     M.PoolHits += Reused ? 1 : 0;
     *Copy = *R; // Flat copy; readers keep the immutable snapshot.
     R = std::move(Copy);
@@ -481,13 +481,17 @@ public:
   };
 
   struct Sync {
-    VectorClock C, U;
     /// Thread that performed the last exclusive release (LR_l), or
     /// NoThread.
     ThreadId LastReleaser = NoThread;
     /// Set by release-joins: the content blends several threads and the
     /// scalar freshness check no longer applies (A.2).
     bool MultiSource = false;
+    /// U_l(LR_l), kept next to LastReleaser (0 while nobody released), so
+    /// a skipped acquire and a release by the last releaser never read
+    /// U's heap array.
+    ClockValue UScalar = 0;
+    VectorClock C, U;
     /// AcquiredSince[t]: thread t imported the current content, so a
     /// release-store by t is a monotone update. Sized on first use.
     std::vector<bool> AcquiredSince;
@@ -518,7 +522,7 @@ public:
     // redundant (Proposition 5). A never-released lock is bottom.
     if (!S.MultiSource &&
         (S.LastReleaser == NoThread ||
-         componentOf(S.U, S.LastReleaser) <= TS.U.get(S.LastReleaser))) {
+         S.UScalar <= TS.U.get(S.LastReleaser))) {
       ++M.AcquiresSkipped;
       return;
     }
@@ -529,11 +533,13 @@ public:
   void release(Thread &TS, ThreadId T, Sync &S, Metrics &M) const {
     ++M.ReleasesTotal;
     flush(TS, T);
+    const ClockValue Held = heldFreshness(S, T);
     S.LastReleaser = T;
     S.MultiSource = false;
+    S.UScalar = TS.U.get(T);
     // Mutex discipline: T acquired the lock before, so the copy is a
     // monotone update and the skip of Line 19 is sound.
-    if (TS.U.get(T) == componentOf(S.U, T)) {
+    if (S.UScalar == Held) {
       ++M.ReleasesSkipped;
       markObserved(S, T);
       return;
@@ -545,9 +551,11 @@ public:
     ++M.ReleasesTotal;
     flush(TS, T);
     bool Monotone = !S.MultiSource && observed(S, T);
+    const ClockValue Held = heldFreshness(S, T);
     S.LastReleaser = T;
     S.MultiSource = false;
-    if (Monotone && TS.U.get(T) == componentOf(S.U, T)) {
+    S.UScalar = TS.U.get(T);
+    if (Monotone && S.UScalar == Held) {
       ++M.ReleasesSkipped;
       markObserved(S, T);
       return;
@@ -568,6 +576,7 @@ public:
     M.FullClockOps += 2;
     S.MultiSource = true;
     S.LastReleaser = T;
+    S.UScalar = S.U.get(T);
     // Nobody, T included, is known to dominate the blended content.
     S.AcquiredSince.assign(NumThreads, false);
   }
@@ -588,9 +597,13 @@ public:
   }
 
 private:
-  /// Component \p I of \p C, reading a never-allocated clock as bottom.
-  static ClockValue componentOf(const VectorClock &C, ThreadId I) {
-    return C.size() ? C.get(I) : 0;
+  /// U_l(T), the freshness of T's entry the object holds: the inline
+  /// scalar when T released last, else U's entry (a never-allocated U is
+  /// bottom).
+  static ClockValue heldFreshness(const Sync &S, ThreadId T) {
+    if (T == S.LastReleaser)
+      return S.UScalar;
+    return S.U.size() ? S.U.get(T) : 0;
   }
   static bool observed(const Sync &S, ThreadId T) {
     return T < S.AcquiredSince.size() && S.AcquiredSince[T];
@@ -648,12 +661,24 @@ private:
 /// replacement semantics by construction (A.2). Release-joins convert the
 /// sync object to an owned blended vector clock (multi-source), which
 /// acquires join in full.
+///
+/// \p Sharing is the snapshot pool's sharing mode: engine lanes keep their
+/// lists in a lane-private pool, and rt::Runtime, whose threads drop each
+/// other's snapshots, names PoolSharing::Concurrent.
+template <PoolSharing Sharing = PoolSharing::LanePrivate>
 class SamplingOrderedListPolicy : public SamplingPolicyBase {
 public:
   static constexpr bool SplitAcquire = true;
+  using ListPool = SnapshotPool<OrderedList, Sharing>;
+
+  /// A list entry an acquire found ahead of the acquirer.
+  struct AheadEntry {
+    ThreadId Of;
+    ClockValue Val;
+  };
 
   struct Thread : SamplingThread {
-    ListPool::Ref O;
+    typename ListPool::Ref O;
     /// shared_t of Algorithm 4: sync objects may reference O, so it must
     /// be re-owned before mutation.
     bool Shared = false;
@@ -661,6 +686,9 @@ public:
     /// The paper's C_t(t), the local time of the last sampled event. Under
     /// LocalEpochOpt this is authoritative and the list entry may lag.
     ClockValue OwnTime = 0;
+    /// acquirePrefix's scratch: room for every entry one acquire can find
+    /// ahead (the releaser's own component plus one per list entry).
+    std::vector<AheadEntry> Ahead;
 
     /// C_t(Of): the list entry, except the out-of-line own component.
     ClockValue component(ThreadId Self, ThreadId Of) const {
@@ -681,7 +709,7 @@ public:
 
   struct Sync {
     /// Single-source snapshot, immutable while shared.
-    ListPool::ConstRef Ref;
+    typename ListPool::ConstRef Ref;
     ThreadId LastReleaser = NoThread;
     /// U_l: the releaser's own freshness count at release.
     ClockValue UScalar = 0;
@@ -697,7 +725,7 @@ public:
   struct Prefix {
     const OrderedList *List = nullptr;
     /// Keeps List alive while it is traversed outside the sync's lock.
-    ListPool::ConstRef Pin;
+    typename ListPool::ConstRef Pin;
     ThreadId LastReleaser = NoThread;
     ClockValue OwnTimeAtRelease = 0;
     size_t Length = 0;
@@ -713,6 +741,7 @@ public:
     TS.O = Lists.acquire();
     TS.O->reset(NumThreads);
     TS.U = VectorClock(NumThreads);
+    TS.Ahead.resize(NumThreads + 1);
   }
 
   /// Algorithm 2's epoch flush. The own component goes out of line under
@@ -764,17 +793,31 @@ public:
 
   /// The traversal: the releaser's out-of-line component, then only the
   /// first U_l - U_t(LR_l) list entries, which are the only ones that can
-  /// be ahead of us (Proposition 6).
+  /// be ahead of us (Proposition 6). One pass compares each entry against
+  /// our times and writes it into the scratch array, keeping it when it is
+  /// ahead; the list is then re-owned once and the kept entries set in walk
+  /// order. Our own component is authored locally and never stale, and the
+  /// releaser's list entry never exceeds its out-of-line component, so
+  /// neither is kept.
   void acquirePrefix(Thread &TS, ThreadId T, const Prefix &P, Metrics &M) {
-    unsigned Changed = 0;
-    ++M.EntriesTraversed;
-    Changed += applyEntry(TS, T, P.LastReleaser, P.OwnTimeAtRelease, M);
-    P.List->visitPrefix(P.Length, [&](ThreadId Of, ClockValue Val) {
-      ++M.EntriesTraversed;
-      Changed += applyEntry(TS, T, Of, Val, M);
+    const ClockValue *Mine = TS.O->times();
+    AheadEntry *Ahead = TS.Ahead.data();
+    const ThreadId LR = P.LastReleaser;
+    Ahead[0] = {LR, P.OwnTimeAtRelease};
+    size_t Kept = (LR != T) & (P.OwnTimeAtRelease > Mine[LR]);
+    const size_t Len = std::min(P.Length, P.List->size());
+    P.List->visitPrefix(Len, [&](ThreadId Of, ClockValue Val) {
+      Ahead[Kept] = {Of, Val};
+      Kept += (Of != T) & (Of != LR) & (Val > Mine[Of]);
     });
+    M.EntriesTraversed += 1 + Len;
     M.TraversalOpportunities += NumThreads;
-    TS.U.bump(T, Changed);
+    if (Kept) {
+      ensureOwned(TS, M);
+      for (size_t I = 0; I < Kept; ++I)
+        TS.O->set(Ahead[I].Of, Ahead[I].Val);
+    }
+    TS.U.bump(T, Kept);
   }
 
   void acquire(Thread &TS, ThreadId T, const Sync &S, Metrics &M) {
@@ -890,7 +933,8 @@ private:
 // TC: the tree-clock ablation (Section 7)
 //===----------------------------------------------------------------------===//
 
-using TreeClockPool = SnapshotPool<TreeClock>;
+/// TC runs offline only, so its snapshots stay in a lane-private pool.
+using TreeClockPool = SnapshotPool<TreeClock, PoolSharing::LanePrivate>;
 
 /// Tree clocks are an optimal structure for the full happens-before
 /// relation, but they cannot soundly prune joins under the sampling

@@ -107,8 +107,9 @@ template <typename Policy> struct PolicyEngine : LaneState {
 
   /// The unsharded batch loop: one lane-guard entry and one bulk stats
   /// update per batch, a direct switch per event. Bit-identical to
-  /// \ref reference: the stream position still advances per event
-  /// (declareRace records it), and the bulk counter updates commute.
+  /// \ref reference: the bulk counter updates commute, and the stream
+  /// position, which only declareRace reads, is stored before each access
+  /// handler and at the end of the batch.
   void batch(std::span<const Event> Events,
              std::span<const uint8_t> Sampled) {
     assert(Events.size() == Sampled.size() && "one decision per event");
@@ -116,20 +117,23 @@ template <typename Policy> struct PolicyEngine : LaneState {
 #ifndef NDEBUG
     DriverScope Guard(*this);
 #endif
+    const size_t N = Events.size();
+    const uint64_t Base = Position;
     uint64_t Accesses = 0, SampledAccesses = 0;
-    for (size_t I = 0, N = Events.size(); I < N; ++I) {
+    for (size_t I = 0; I < N; ++I) {
       const Event &E = Events[I];
       if (isAccess(E.Kind)) {
         ++Accesses;
         const bool IsSampled = Sampled[I] != 0;
         SampledAccesses += IsSampled ? 1 : 0;
+        Position = Base + I;
         access(E, IsSampled);
       } else {
         sync(E);
       }
-      ++Position;
     }
-    Stats.Events += Events.size();
+    Position = Base + N;
+    Stats.Events += N;
     Stats.Accesses += Accesses;
     Stats.SampledAccesses += SampledAccesses;
   }
@@ -281,16 +285,25 @@ private:
     Stats = Saved;
   }
 
-  /// Lazily grown per-variable state.
+  /// Lazily grown per-variable state. Growth is rare (the tables reach
+  /// their size early in a run), so it is called out of line and the
+  /// per-event path keeps one compare.
   template <typename H>
   [[gnu::always_inline]] H &var(std::vector<H> &Vec, VarId X) {
     size_t I = varSlot(X);
-    growToIndex(Vec, I);
+    if (I >= Vec.size()) [[unlikely]]
+      grow(Vec, I);
     return Vec[I];
   }
   [[gnu::always_inline]] typename Policy::Sync &syncState(SyncId S) {
-    growToIndex(Syncs, S);
+    if (S >= Syncs.size()) [[unlikely]]
+      grow(Syncs, S);
     return Syncs[S];
+  }
+  template <typename T>
+  [[gnu::noinline, gnu::cold]] static void grow(std::vector<T> &Vec,
+                                                size_t I) {
+    growToIndex(Vec, I);
   }
 };
 
@@ -340,12 +353,12 @@ private:
 extern template struct PolicyEngine<FastTrackPolicy>;
 extern template struct PolicyEngine<SamplingNaivePolicy>;
 extern template struct PolicyEngine<SamplingUClockPolicy>;
-extern template struct PolicyEngine<SamplingOrderedListPolicy>;
+extern template struct PolicyEngine<SamplingOrderedListPolicy<>>;
 extern template struct PolicyEngine<TreeClockPolicy>;
 extern template class PolicyDetector<FastTrackPolicy>;
 extern template class PolicyDetector<SamplingNaivePolicy>;
 extern template class PolicyDetector<SamplingUClockPolicy>;
-extern template class PolicyDetector<SamplingOrderedListPolicy>;
+extern template class PolicyDetector<SamplingOrderedListPolicy<>>;
 extern template class PolicyDetector<TreeClockPolicy>;
 
 } // namespace sampletrack

@@ -67,6 +67,9 @@ public:
   /// Number of entries.
   size_t size() const { return Times.size(); }
 
+  /// The times, indexed by thread id.
+  const ClockValue *times() const { return Times.data(); }
+
   /// O(1) lookup of thread \p T's component (the paper's O.get(tid)).
   ClockValue get(ThreadId T) const {
     assert(T < Times.size() && "thread out of range");

@@ -24,10 +24,18 @@
 /// an owner whose publication has since been dropped by every reader can
 /// simply resume mutating in place — copy only when contended.
 ///
-/// Thread-safety: acquire/release are safe from any thread (the online
-/// Runtime drops snapshot references across threads); the buffers
-/// themselves follow the usual CoW discipline — immutable while shared,
-/// mutated only by their unique owner.
+/// Thread-safety is a compile-time sharing mode (\ref PoolSharing):
+///   - Concurrent: refs may be copied, dropped and acquired from any thread
+///     at once. Refcounts are atomic and a mutex guards the free list. The
+///     online Runtime needs this: its threads drop snapshot references that
+///     other threads published.
+///   - LanePrivate: one thread at a time touches the pool and every ref it
+///     minted, so refcounts are plain words and the free list is unlocked.
+///     An engine lane (PolicyEngine) owns its pool: its snapshots never
+///     leave the lane, and Detector's concurrency contract hands a lane to
+///     another thread only across a happens-before edge.
+/// In both modes the buffers follow the usual CoW discipline: immutable
+/// while shared, mutated only by their unique owner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,28 +46,81 @@
 #include <cassert>
 #include <cstdint>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 namespace sampletrack {
+
+/// Who may touch a SnapshotPool and its refs at once (see the file
+/// comment).
+enum class PoolSharing {
+  Concurrent,  ///< Any thread: atomic refcounts, a locked free list.
+  LanePrivate, ///< One thread at a time: plain refcounts, no lock.
+};
 
 /// Free-list pool of intrusively refcounted \p T buffers.
 ///
 /// \p T must be default-constructible; recycled buffers keep their previous
 /// contents (that is the point — their heap capacity is the asset), so the
 /// caller re-initializes or copy-assigns over them after \ref acquire.
-template <typename T> class SnapshotPool {
+template <typename T, PoolSharing Sharing = PoolSharing::Concurrent>
+class SnapshotPool {
+  static constexpr bool Concurrent = Sharing == PoolSharing::Concurrent;
+
+  /// A reference count: atomic when Concurrent, a plain word otherwise.
+  class Count {
+  public:
+    explicit Count(uint64_t N) : V(N) {}
+    void add() {
+      if constexpr (Concurrent)
+        V.fetch_add(1, std::memory_order_relaxed);
+      else
+        ++V;
+    }
+    /// Drops one reference; true when it was the last.
+    bool drop() {
+      if constexpr (Concurrent)
+        return V.fetch_sub(1, std::memory_order_acq_rel) == 1;
+      else
+        return --V == 0;
+    }
+    uint64_t get() const {
+      if constexpr (Concurrent)
+        return V.load(std::memory_order_acquire);
+      else
+        return V;
+    }
+    void set(uint64_t N) {
+      if constexpr (Concurrent)
+        V.store(N, std::memory_order_relaxed);
+      else
+        V = N;
+    }
+
+  private:
+    std::conditional_t<Concurrent, std::atomic<uint64_t>, uint64_t> V;
+  };
+
+  /// The free-list lock of a LanePrivate pool: none.
+  struct NoLock {
+    void lock() {}
+    void unlock() {}
+  };
+  using Lock = std::conditional_t<Concurrent, std::mutex, NoLock>;
+  using Guard = std::lock_guard<Lock>;
+
   struct Core;
   struct Node {
     T Value;
     /// Intrusive reference count: no control-block allocation per snapshot,
     /// unlike std::shared_ptr with a custom deleter.
-    std::atomic<uint64_t> Refs{0};
+    Count Refs{0};
     Core *C = nullptr;
     Node *NextFree = nullptr;
   };
 
   struct Core {
-    std::mutex M;
+    Lock M;
     Node *FreeHead = nullptr;
     size_t FreeCount = 0;
     bool Dying = false;
@@ -69,21 +130,21 @@ template <typename T> class SnapshotPool {
     /// One reference per live Node plus one for the pool object itself;
     /// whoever drops the last one frees the Core. This lets outstanding
     /// Refs outlive the pool (they fall back to plain deletion).
-    std::atomic<uint64_t> CoreRefs{1};
+    Count CoreRefs{1};
   };
 
   static void dropCore(Core *C) {
-    if (C->CoreRefs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    if (C->CoreRefs.drop())
       delete C;
   }
 
   static void releaseNode(Node *N) {
-    if (N->Refs.fetch_sub(1, std::memory_order_acq_rel) != 1)
+    if (!N->Refs.drop())
       return;
     Core *C = N->C;
     bool Recycled = false;
     {
-      std::lock_guard<std::mutex> G(C->M);
+      Guard G(C->M);
       if (!C->Dying && C->Enabled) {
         N->NextFree = C->FreeHead;
         C->FreeHead = N;
@@ -106,12 +167,12 @@ public:
     Ref() = default;
     Ref(const Ref &O) : N(O.N) {
       if (N)
-        N->Refs.fetch_add(1, std::memory_order_relaxed);
+        N->Refs.add();
     }
     Ref(Ref &&O) noexcept : N(O.N) { O.N = nullptr; }
     Ref &operator=(const Ref &O) {
       if (O.N)
-        O.N->Refs.fetch_add(1, std::memory_order_relaxed);
+        O.N->Refs.add();
       Node *Old = N;
       N = O.N;
       if (Old)
@@ -144,9 +205,7 @@ public:
 
     /// True iff this is the only reference — the owner may mutate in place
     /// (the lazy-CoW check: no reader holds the published snapshot).
-    bool unique() const {
-      return N && N->Refs.load(std::memory_order_acquire) == 1;
-    }
+    bool unique() const { return N && N->Refs.get() == 1; }
 
     /// Identity comparison (same buffer, not same contents); tests use it
     /// to check snapshot sharing and recycling.
@@ -193,7 +252,7 @@ public:
   ~SnapshotPool() {
     Node *Head;
     {
-      std::lock_guard<std::mutex> G(C->M);
+      Guard G(C->M);
       C->Dying = true;
       Head = C->FreeHead;
       C->FreeHead = nullptr;
@@ -214,7 +273,7 @@ public:
   Ref acquire(bool *Reused = nullptr) {
     Node *N = nullptr;
     {
-      std::lock_guard<std::mutex> G(C->M);
+      Guard G(C->M);
       if (C->Enabled && C->FreeHead) {
         N = C->FreeHead;
         C->FreeHead = N->NextFree;
@@ -227,12 +286,12 @@ public:
     if (Reused)
       *Reused = N != nullptr;
     if (!N) {
-      C->CoreRefs.fetch_add(1, std::memory_order_relaxed);
+      C->CoreRefs.add();
       N = new Node;
       N->C = C;
     }
     N->NextFree = nullptr;
-    N->Refs.store(1, std::memory_order_relaxed);
+    N->Refs.set(1);
     return Ref(N);
   }
 
@@ -242,7 +301,7 @@ public:
   void setEnabled(bool Enabled) {
     Node *Head = nullptr;
     {
-      std::lock_guard<std::mutex> G(C->M);
+      Guard G(C->M);
       C->Enabled = Enabled;
       if (!Enabled) {
         Head = C->FreeHead;
@@ -259,23 +318,23 @@ public:
   }
 
   bool enabled() const {
-    std::lock_guard<std::mutex> G(C->M);
+    Guard G(C->M);
     return C->Enabled;
   }
 
   /// Buffers currently parked on the free list.
   size_t freeCount() const {
-    std::lock_guard<std::mutex> G(C->M);
+    Guard G(C->M);
     return C->FreeCount;
   }
 
   /// Acquires served by the free list / by the allocator.
   uint64_t hits() const {
-    std::lock_guard<std::mutex> G(C->M);
+    Guard G(C->M);
     return C->Hits;
   }
   uint64_t misses() const {
-    std::lock_guard<std::mutex> G(C->M);
+    Guard G(C->M);
     return C->Misses;
   }
 

@@ -328,7 +328,10 @@ Runtime::Runtime(const Config &C) : Cfg(C), I(std::make_unique<Impl>(C)) {
     I->A = std::make_unique<Engine<SamplingUClockPolicy>>(*this, Cfg);
     break;
   case Mode::SO:
-    I->A = std::make_unique<Engine<SamplingOrderedListPolicy>>(*this, Cfg);
+    // Runtime threads drop snapshots other threads published.
+    I->A = std::make_unique<
+        Engine<SamplingOrderedListPolicy<PoolSharing::Concurrent>>>(*this,
+                                                                     Cfg);
     break;
   }
   // Pre-register the main thread as thread 0.

@@ -20,6 +20,7 @@
 #include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/detectors/DetectorFactory.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
+#include "sampletrack/detectors/PolicyDetector.h"
 #include "sampletrack/trace/SuiteGen.h"
 #include "sampletrack/trace/TraceGen.h"
 
@@ -245,6 +246,49 @@ TEST(StructuredTraces, WellSynchronizedTracesAreRaceFree) {
       EXPECT_TRUE(declaredEvents(T, EngineKind::Djit).empty());
       EXPECT_TRUE(declaredEvents(T, EngineKind::SamplingO).empty());
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// More threads than one 64-bit word: SO's prefix-walk scratch and SU's
+// observed-thread set are sized by the thread count, not by a word.
+//===----------------------------------------------------------------------===//
+
+TEST(ManyThreads, SamplingEnginesMatchOracleBeyond64Threads) {
+  GenConfig C;
+  C.NumThreads = 80;
+  C.NumLocks = 4;
+  C.NumVars = 64;
+  C.NumEvents = 8000;
+  C.UnprotectedFraction = 0.05;
+  C.MeanBurst = 2;
+  C.Seed = 21;
+  Trace T = generateWorkload(C);
+  ASSERT_EQ(T.numThreads(), 80u);
+  for (double Rate : {0.3, 1.0}) {
+    SCOPED_TRACE("rate " + std::to_string(Rate));
+    markTrace(T, Rate, 5);
+    HBClosureOracle Oracle(T);
+    std::vector<size_t> Expected =
+        dedupDeclaredRaces(T, Oracle.declaredRaces(/*MarkedOnly=*/true));
+    EXPECT_FALSE(Expected.empty());
+    EXPECT_EQ(Expected, declaredEvents(T, EngineKind::SamplingNaive));
+    EXPECT_EQ(Expected, declaredEvents(T, EngineKind::SamplingU));
+    EXPECT_EQ(Expected, declaredEvents(T, EngineKind::SamplingO));
+    EXPECT_EQ(Expected, declaredEvents(T, EngineKind::SamplingONoEpochOpt));
+
+    // Prefix walks carried the times of threads past the first 64 into
+    // the lists of threads below it.
+    PolicyDetector<SamplingOrderedListPolicy<>> SO("SO", T.numThreads(),
+                                                   HistoryKind::VectorClocks);
+    MarkedSampler S;
+    api::AnalysisSession().addDetector(SO).withSampler(S).run(T);
+    EXPECT_GT(SO.metrics().AcquiresProcessed, 0u);
+    bool Crossed = false;
+    for (ThreadId Tid = 0; Tid < 64; ++Tid)
+      for (ThreadId Of = 64; Of < T.numThreads(); ++Of)
+        Crossed |= SO.thread(Tid).component(Tid, Of) > 0;
+    EXPECT_TRUE(Crossed);
   }
 }
 

@@ -78,7 +78,7 @@ TEST_P(EpochHistorySweep, SameRacyLocationsAndFirstDeclarations) {
               std::make_unique<PolicyDetector<SamplingUClockPolicy>>(
                   "SU", NT, HistoryKind::Epochs)};
   Pairs[2] = {"SO", createDetector(EngineKind::SamplingO, NT),
-              std::make_unique<PolicyDetector<SamplingOrderedListPolicy>>(
+              std::make_unique<PolicyDetector<SamplingOrderedListPolicy<>>>(
                   "SO", NT, HistoryKind::Epochs)};
 
   for (EnginePair &P : Pairs) {
@@ -95,10 +95,10 @@ TEST_P(EpochHistorySweep, EpochHistoriesDoLessAccessWork) {
   if (Rate < 0.2)
     GTEST_SKIP() << "needs enough samples to measure";
   Trace T = racyTrace(Seed, Rate);
-  PolicyDetector<SamplingOrderedListPolicy> Vc("SO", T.numThreads(),
-                                               HistoryKind::VectorClocks);
-  PolicyDetector<SamplingOrderedListPolicy> Eh("SO", T.numThreads(),
-                                               HistoryKind::Epochs);
+  PolicyDetector<SamplingOrderedListPolicy<>> Vc("SO", T.numThreads(),
+                                                 HistoryKind::VectorClocks);
+  PolicyDetector<SamplingOrderedListPolicy<>> Eh("SO", T.numThreads(),
+                                                 HistoryKind::Epochs);
   MarkedSampler S1, S2;
   api::AnalysisSession().addDetector(Vc).withSampler(S1).run(T);
   api::AnalysisSession().addDetector(Eh).withSampler(S2).run(T);
@@ -129,8 +129,8 @@ TEST(EpochHistories, FirstRacePerLocationMatchesOracle) {
       if (!OracleFirst.count(T[E].var()))
         OracleFirst[T[E].var()] = E;
 
-    PolicyDetector<SamplingOrderedListPolicy> Eh("SO", T.numThreads(),
-                                                 HistoryKind::Epochs);
+    PolicyDetector<SamplingOrderedListPolicy<>> Eh("SO", T.numThreads(),
+                                                   HistoryKind::Epochs);
     auto [Locs, First] = runAndSummarize(T, Eh);
     EXPECT_EQ(OracleFirst, First) << "seed " << Seed;
   }

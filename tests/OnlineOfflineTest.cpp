@@ -404,6 +404,27 @@ TEST(OnlineOffline, ReleaseStoreAfterAcquireLoadOfNeverStoredAtomic) {
   EXPECT_EQ(On.FullClockOps, Off.FullClockOps);
 }
 
+TEST(OnlineOffline, MoreThanSixtyFourThreads) {
+  // SO's prefix-walk scratch and SU's observed-thread set are sized by the
+  // thread count; 72 threads take both past one 64-bit word.
+  GenConfig C;
+  C.NumThreads = 72;
+  C.NumLocks = 4;
+  C.NumVars = 48;
+  C.NumEvents = 4000;
+  C.UnprotectedFraction = 0.05;
+  C.MeanBurst = 2;
+  C.Seed = 9;
+  Trace T = generateWorkload(C);
+  ASSERT_EQ(T.numThreads(), 72u);
+  for (rt::Mode M : {rt::Mode::SU, rt::Mode::SO})
+    for (double Rate : {0.3, 1.0}) {
+      auto [On, Off] = expectAgreement(T, M, Rate, true, 9, "72-threads");
+      EXPECT_GT(Off.AcquiresSkipped, 0u);
+      EXPECT_GT(Off.AcquiresProcessed, 0u);
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // Random families: FT/ST/SU/SO x rates {0.03, 0.3, 1.0} x pooling on/off
 //===----------------------------------------------------------------------===//

@@ -7,10 +7,11 @@
 ///
 /// \file
 /// Unit tests for SnapshotPool: refcount semantics, free-list recycling,
-/// the lazy-CoW unique() contract, pool death with outstanding references,
-/// cross-thread release safety, and the detector-level integration (pooled
-/// and unpooled runs bit-identical modulo PoolHits; recycling actually
-/// observed on CoW-heavy traces).
+/// the lazy-CoW unique() contract and pool death with outstanding
+/// references in both sharing modes, cross-thread release safety of the
+/// concurrent mode, and the detector-level integration (pooled and unpooled
+/// runs bit-identical modulo PoolHits; recycling actually observed on
+/// CoW-heavy traces).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,13 +24,31 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 using namespace sampletrack;
 
-TEST(SnapshotPool, AcquireStartsUniqueAndMisses) {
-  SnapshotPool<VectorClock> P;
+namespace {
+
+/// The single-thread cases run over both sharing modes: a lane-private
+/// pool keeps every contract of the concurrent one except cross-thread use.
+template <typename Pool> class SnapshotPoolModes : public ::testing::Test {};
+using PoolModes =
+    ::testing::Types<SnapshotPool<VectorClock, PoolSharing::Concurrent>,
+                     SnapshotPool<VectorClock, PoolSharing::LanePrivate>>;
+struct PoolModeName {
+  template <typename Pool> static std::string GetName(int I) {
+    return I == 0 ? "Concurrent" : "LanePrivate";
+  }
+};
+TYPED_TEST_SUITE(SnapshotPoolModes, PoolModes, PoolModeName);
+
+} // namespace
+
+TYPED_TEST(SnapshotPoolModes, AcquireStartsUniqueAndMisses) {
+  TypeParam P;
   bool Reused = true;
   auto R = P.acquire(&Reused);
   EXPECT_FALSE(Reused) << "empty pool cannot serve from the free list";
@@ -40,8 +59,8 @@ TEST(SnapshotPool, AcquireStartsUniqueAndMisses) {
   EXPECT_EQ(P.freeCount(), 0u);
 }
 
-TEST(SnapshotPool, LastReleaseRecyclesAndNextAcquireReuses) {
-  SnapshotPool<VectorClock> P;
+TYPED_TEST(SnapshotPoolModes, LastReleaseRecyclesAndNextAcquireReuses) {
+  TypeParam P;
   auto R = P.acquire();
   R->resize(4);
   R->set(2, 42);
@@ -58,8 +77,8 @@ TEST(SnapshotPool, LastReleaseRecyclesAndNextAcquireReuses) {
   EXPECT_EQ(P.freeCount(), 0u);
 }
 
-TEST(SnapshotPool, UniqueTracksReferenceCount) {
-  SnapshotPool<VectorClock> P;
+TYPED_TEST(SnapshotPoolModes, UniqueTracksReferenceCount) {
+  TypeParam P;
   auto Owner = P.acquire();
   EXPECT_TRUE(Owner.unique());
   {
@@ -73,8 +92,8 @@ TEST(SnapshotPool, UniqueTracksReferenceCount) {
   EXPECT_EQ(P.freeCount(), 0u) << "buffer still referenced, not recycled";
 }
 
-TEST(SnapshotPool, CopyAndMoveSemantics) {
-  SnapshotPool<VectorClock> P;
+TYPED_TEST(SnapshotPoolModes, CopyAndMoveSemantics) {
+  TypeParam P;
   auto A = P.acquire();
   auto B = A;
   auto C = std::move(A);
@@ -89,8 +108,8 @@ TEST(SnapshotPool, CopyAndMoveSemantics) {
   EXPECT_EQ(P.freeCount(), 1u);
 }
 
-TEST(SnapshotPool, DisabledPoolNeverReuses) {
-  SnapshotPool<VectorClock> P;
+TYPED_TEST(SnapshotPoolModes, DisabledPoolNeverReuses) {
+  TypeParam P;
   P.setEnabled(false);
   auto R = P.acquire();
   R.reset();
@@ -101,8 +120,8 @@ TEST(SnapshotPool, DisabledPoolNeverReuses) {
   EXPECT_EQ(P.hits(), 0u);
 }
 
-TEST(SnapshotPool, DisablingDrainsTheFreeList) {
-  SnapshotPool<VectorClock> P;
+TYPED_TEST(SnapshotPoolModes, DisablingDrainsTheFreeList) {
+  TypeParam P;
   auto A = P.acquire();
   auto B = P.acquire();
   A.reset();
@@ -112,10 +131,10 @@ TEST(SnapshotPool, DisablingDrainsTheFreeList) {
   EXPECT_EQ(P.freeCount(), 0u);
 }
 
-TEST(SnapshotPool, OutstandingRefsSurviveThePool) {
-  SnapshotPool<VectorClock>::Ref Survivor;
+TYPED_TEST(SnapshotPoolModes, OutstandingRefsSurviveThePool) {
+  typename TypeParam::Ref Survivor;
   {
-    SnapshotPool<VectorClock> P;
+    TypeParam P;
     Survivor = P.acquire();
     Survivor->resize(3);
     Survivor->set(1, 7);
@@ -129,7 +148,8 @@ TEST(SnapshotPool, OutstandingRefsSurviveThePool) {
 
 TEST(SnapshotPool, CrossThreadReleaseIsSafe) {
   // The online Runtime drops snapshot references on whichever thread
-  // overwrites the sync object; acquire+release must tolerate that.
+  // overwrites the sync object; a concurrent pool's acquire+release must
+  // tolerate that.
   SnapshotPool<VectorClock> P;
   constexpr int N = 64;
   std::vector<SnapshotPool<VectorClock>::Ref> Refs;

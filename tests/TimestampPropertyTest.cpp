@@ -85,10 +85,10 @@ TEST_P(PropertySweep, LockstepClockEqualityAcrossEngines) {
   const HistoryKind Vc = HistoryKind::VectorClocks;
   PolicyDetector<SamplingNaivePolicy> ST("ST", NT, Vc);
   PolicyDetector<SamplingUClockPolicy> SU("SU", NT, Vc);
-  PolicyDetector<SamplingOrderedListPolicy> SO("SO", NT, Vc,
-                                               /*LocalEpochOpt=*/true);
-  PolicyDetector<SamplingOrderedListPolicy> SON("SO-noepoch", NT, Vc,
-                                                /*LocalEpochOpt=*/false);
+  PolicyDetector<SamplingOrderedListPolicy<>> SO("SO", NT, Vc,
+                                                 /*LocalEpochOpt=*/true);
+  PolicyDetector<SamplingOrderedListPolicy<>> SON("SO-noepoch", NT, Vc,
+                                                  /*LocalEpochOpt=*/false);
 
   for (size_t I = 0; I < T.size(); ++I) {
     const Event &E = T[I];

@@ -6,14 +6,15 @@
 # Run it on a library built with -fsanitize=undefined (gcc, x86-64). The
 # per-event path is every function of PolicyEngine (the batch loops, the
 # per-event reference loop, the handlers they inline, their race lambdas)
-# and of LaneState (race declaration), the engine policies' handlers, and
-# the race sink and clock types those call. Each is plain data, so no call
-# to __ubsan_handle_dynamic_type_cache_miss may appear in them: such a call
-# is a member access through a polymorphic object, and gcc's vptr check
-# keeps one process-wide type cache that parallel lanes of different
-# engines evict from each other. Policy handlers instantiated by the online
-# runtime (rt::Runtime) and the types' str() printers are not on the path
-# and are skipped.
+# and of LaneState (race declaration), the engine policies' handlers
+# (templated policies such as SamplingOrderedListPolicy<...> included), and
+# the snapshot pools, race sink and clock types those call. Each is plain
+# data, so no call to __ubsan_handle_dynamic_type_cache_miss may appear in
+# them: such a call is a member access through a polymorphic object, and
+# gcc's vptr check keeps one process-wide type cache that parallel lanes of
+# different engines evict from each other. Policy handlers instantiated by
+# the online runtime (rt::Runtime) and the types' str() printers are not on
+# the path and are skipped.
 #
 # Prints each path function that holds a check and the totals; exits 1 if
 # any function holds one, or if no path function was found at all (the
@@ -45,7 +46,7 @@ objdump -dr -C "$LIB" | awk '
     sub(/>:$/, "", fn)
     name = unparenthesized(fn)
     engine = name ~ /(^|[ &*])sampletrack::(PolicyEngine<|LaneState::)/ ||
-             name ~ /(^|[ &*])sampletrack::[A-Za-z]*Policy(Base)?::/
+             name ~ /(^|[ &*])sampletrack::[A-Za-z]*Policy(Base)?(<[^<>]*>)?::/
     callee = name ~ /(^|[ &*])sampletrack::(triage::RaceSink::|SnapshotPool<)/ ||
              name ~ /(^|[ &*])sampletrack::(VectorClock|OrderedList|TreeClock)::/
     hot = (engine || callee) && fn !~ /rt::Runtime|::str(\[|\()/
